@@ -294,11 +294,14 @@ class AttackCampaign:
     def working_set_bytes_per_trace(self) -> int:
         """Approximate per-trace footprint of the reduction pipeline.
 
-        Counts the per-trace intermediates a leakage chunk touches: the
-        sampled endpoint bits (uint8 per endpoint), the per-endpoint
-        jitter draws (float64), and the voltage/leakage scalars.  Used
-        by :func:`repro.experiments.parallel.plan_chunk_size` to size
-        leakage chunks to a cache-resident working set.
+        Counts the per-trace intermediates a leakage chunk touches on
+        the numpy sampling path: the sampled endpoint bits (uint8 per
+        endpoint), the per-endpoint jitter draws (float64), and the
+        voltage/leakage scalars.  The native sampler never materializes
+        the float64 draws, but the figure stays frozen: it sizes chunks
+        through :func:`repro.experiments.parallel.plan_chunk_size`, and
+        chunk starts key the jitter seeds, so changing it would re-key
+        every campaign.
         """
         return int(9 * self.sensor.num_bits + 32)
 

@@ -19,15 +19,22 @@ Two kernels cover the two sampling regimes:
   faster than the legacy loop on the 192-endpoint ALU.
 
 * **Per-register jitter**: every ``(cycle, endpoint)`` pair has its own
-  query time.  The jitter matrix is drawn in one call with the exact
-  same generator stream the legacy loop consumed (row ``i`` of a
-  ``(num_bits, n)`` draw equals endpoint ``i``'s sequential draw), so
-  results stay bit-identical.  For banks whose endpoints have few
-  transitions (the ALU: at most a handful) the latch interval index is
-  accumulated with one vectorized comparison per padded edge slot; deep
-  banks (the C6288's multiply tree has 10^4-edge endpoints) fall back
-  to a per-endpoint ``searchsorted`` over the flat arrays, which is
-  what the legacy loop did minus the Python object overhead.
+  query time.  The jitter is drawn with the exact same generator stream
+  the legacy per-endpoint loop consumed (endpoint ``i``'s ``N`` draws
+  follow endpoint ``i - 1``'s), so results stay bit-identical.  For
+  banks whose endpoints have few transitions (the ALU: at most a
+  handful) the latch interval index is an edge count, and alternation
+  turns its parity into the latched bit; deep banks (the C6288's
+  multiply tree has 10^4-edge endpoints) binary-search each endpoint's
+  own edge list instead, which is what the legacy loop did minus the
+  Python object overhead.
+
+Both per-register kernels are ops of the ``pdn`` kernel of the dispatch
+registry (:mod:`repro.util.kernels`): ``sample_padded`` and
+``sample_per_endpoint``.  The numpy bodies below are the registered
+reference; the native backend fuses numpy's own Gaussian draw with the
+latch in one C loop, producing the same bits and leaving the generator
+in the same state.
 
 Both kernels reproduce :meth:`EndpointWaveform.value_at` semantics
 exactly, including the inclusive tie rule (a query landing exactly on
@@ -41,6 +48,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.util import kernels
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,6 +58,72 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: comparison kernel under per-register jitter; deeper waveforms use a
 #: per-endpoint binary search instead.
 PADDED_EDGE_LIMIT = 16
+
+#: Endpoint rows drawn/evaluated per slab in the numpy padded kernel;
+#: bounds temporaries to a few MB so they stay cache-resident.
+_PADDED_BLOCK = 16
+
+
+def _sample_padded_numpy(
+    tau: np.ndarray,
+    jitter_ps: float,
+    rng: np.random.Generator,
+    padded_times: np.ndarray,
+    initial_values: np.ndarray,
+) -> np.ndarray:
+    """Few-edge banks: count crossed edges per (bit, cycle).
+
+    The latch interval index is the number of edges at or before the
+    jittered query (ties inclusive, matching ``searchsorted(...,
+    side="right")``); alternation turns index parity plus the initial
+    value into the latched bit without a gather.  A ``(block, N)`` draw
+    consumes the generator stream in the same order as sequential
+    per-endpoint draws, so results are bit-identical to the reference
+    loop.
+    """
+    n = tau.shape[0]
+    max_edges, num_bits = padded_times.shape
+    bits = np.empty((n, num_bits), dtype=np.uint8)
+    for start in range(0, num_bits, _PADDED_BLOCK):
+        end = min(start + _PADDED_BLOCK, num_bits)
+        queries = rng.normal(0.0, jitter_ps, size=(end - start, n))
+        queries += tau[None, :]
+        index = np.zeros((end - start, n), dtype=np.uint8)
+        for k in range(max_edges):
+            index += queries >= padded_times[k, start:end, None]
+        bits[:, start:end] = (
+            initial_values[start:end, None] ^ (index & 1)
+        ).T
+    return bits
+
+
+def _sample_per_endpoint_numpy(
+    tau: np.ndarray,
+    jitter_ps: float,
+    rng: np.random.Generator,
+    offsets: np.ndarray,
+    flat_times_ps: np.ndarray,
+    flat_values: np.ndarray,
+) -> np.ndarray:
+    """Deep banks: binary search each endpoint's own edge list."""
+    n = tau.shape[0]
+    num_bits = offsets.shape[0] - 1
+    bits = np.empty((n, num_bits), dtype=np.uint8)
+    for i in range(num_bits):
+        queries = tau + rng.normal(0.0, jitter_ps, size=n)
+        lo = offsets[i]
+        hi = offsets[i + 1]
+        index = np.searchsorted(flat_times_ps[lo:hi], queries, side="right")
+        bits[:, i] = flat_values[lo:hi][np.clip(index - 1, 0, None)]
+    return bits
+
+
+kernels.register_backend(
+    "pdn",
+    "numpy",
+    sample_padded=_sample_padded_numpy,
+    sample_per_endpoint=_sample_per_endpoint_numpy,
+)
 
 
 class WaveformBank:
@@ -185,55 +259,22 @@ class WaveformBank:
         index = np.searchsorted(self.interval_times_ps, tau, side="right")
         return self.interval_words[index]
 
-    #: Endpoint rows drawn/evaluated per slab in the padded kernel;
-    #: bounds temporaries to a few MB so they stay cache-resident.
-    _PADDED_BLOCK = 16
-
     def _sample_padded(
         self, tau: np.ndarray, jitter_ps: float, rng: np.random.Generator
     ) -> np.ndarray:
-        """Few-edge banks: count crossed edges per (bit, cycle).
-
-        The latch interval index is the number of edges at or before
-        the jittered query (ties inclusive, matching
-        ``searchsorted(..., side="right")``); alternation turns index
-        parity plus the initial value into the latched bit without a
-        gather.  A ``(block, N)`` draw consumes the generator stream in
-        the same order as sequential per-endpoint draws, so results are
-        bit-identical to the reference loop.
-        """
-        n = tau.shape[0]
-        padded = self.padded_times
-        bits = np.empty((n, self.num_bits), dtype=np.uint8)
-        for start in range(0, self.num_bits, self._PADDED_BLOCK):
-            end = min(start + self._PADDED_BLOCK, self.num_bits)
-            queries = rng.normal(0.0, jitter_ps, size=(end - start, n))
-            queries += tau[None, :]
-            index = np.zeros((end - start, n), dtype=np.uint8)
-            for k in range(self.max_edges):
-                index += queries >= padded[k, start:end, None]
-            bits[:, start:end] = (
-                self.initial_values[start:end, None] ^ (index & 1)
-            ).T
-        return bits
+        """Few-edge banks: edge-count parity (``pdn`` op ``sample_padded``)."""
+        return kernels.dispatch("pdn", "sample_padded")(
+            tau, jitter_ps, rng, self.padded_times, self.initial_values
+        )
 
     def _sample_per_endpoint(
         self, tau: np.ndarray, jitter_ps: float, rng: np.random.Generator
     ) -> np.ndarray:
-        """Deep banks: binary search each endpoint's own edge list."""
-        n = tau.shape[0]
-        bits = np.empty((n, self.num_bits), dtype=np.uint8)
-        for i in range(self.num_bits):
-            queries = tau + rng.normal(0.0, jitter_ps, size=n)
-            lo = self.offsets[i]
-            hi = self.offsets[i + 1]
-            index = np.searchsorted(
-                self.flat_times_ps[lo:hi], queries, side="right"
-            )
-            bits[:, i] = self.flat_values[lo:hi][
-                np.clip(index - 1, 0, None)
-            ]
-        return bits
+        """Deep banks: per-endpoint search (op ``sample_per_endpoint``)."""
+        return kernels.dispatch("pdn", "sample_per_endpoint")(
+            tau, jitter_ps, rng, self.offsets, self.flat_times_ps,
+            self.flat_values,
+        )
 
 
 def build_bank(waveforms: Sequence["EndpointWaveform"]) -> WaveformBank:

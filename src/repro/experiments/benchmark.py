@@ -257,6 +257,49 @@ def _sampling_case(
     }
 
 
+def _jitter_backends_case(
+    calibration,
+    voltages: np.ndarray,
+    shared: np.ndarray,
+    repeats: int,
+) -> Dict[str, object]:
+    """Time the jittered bank under ``kernels=numpy`` and ``native``.
+
+    Each backend's bits are asserted equal to the numpy bits before it
+    is timed (:func:`_backend_case`).  ``native_speedup`` stays ``None``
+    on a host without a native provider; ``native_sampler`` says
+    whether the fused sampler served the native run or why the numpy
+    op did.
+    """
+
+    def run():
+        return calibration.sample_bits(
+            voltages, jitter_ps=DEFAULT_JITTER_PS, seed=7,
+            shared_jitter_ps=shared,
+        )
+
+    with kernels.use("numpy"):
+        reference = run()
+    case: Dict[str, object] = {
+        backend: _backend_case(
+            backend, run, reference, repeats, voltages.shape[0]
+        )
+        for backend in ("numpy", "native")
+        if backend in kernels.available_backends("pdn")
+    }
+    case["native_speedup"] = None
+    case["native_sampler"] = None
+    if "native" in case:
+        from repro.util import kernels_native  # noqa: PLC0415 — lazy
+
+        reason = kernels_native.load_native().sampler_reason
+        case["native_speedup"] = (
+            case["numpy"]["seconds"] / case["native"]["seconds"]
+        )
+        case["native_sampler"] = "fused" if reason is None else reason
+    return case
+
+
 def run_sampling_benchmark(
     num_cycles: int = 100_000,
     circuit: str = "alu",
@@ -295,11 +338,15 @@ def run_sampling_benchmark(
         "zero_jitter": _sampling_case(
             calibration, voltages, 0.0, shared, repeats
         ),
-        # Full noise model: per-register Gaussian jitter on top.  The
-        # Gaussian draw itself dominates here, bounding the achievable
-        # speedup; both paths consume the identical generator stream.
+        # Full noise model: per-register Gaussian jitter on top; both
+        # paths consume the identical generator stream.
         "per_register_jitter": _sampling_case(
             calibration, voltages, DEFAULT_JITTER_PS, shared, repeats
+        ),
+        # The same jittered bank per kernel backend: the numpy op
+        # against the native sampler that fuses draw and latch.
+        "jitter_backends": _jitter_backends_case(
+            calibration, voltages, shared, repeats
         ),
     }
 
@@ -1189,6 +1236,7 @@ def run_kernels_benchmark(
     cpa_traces: int = 50_000,
     resample_traces: int = 4_000,
     resample_samples: int = 256,
+    sample_traces: int = 50_000,
     repeats: int = 3,
     seed: int = 1,
 ) -> Dict[str, object]:
@@ -1199,8 +1247,10 @@ def run_kernels_benchmark(
     256 candidates, ``resample``: polyphase upfirdn over a trace
     batch), every backend available on this host is warmed, asserted
     bit-identical to the numpy reference, and timed best-of
-    ``repeats``.  ``speedup_vs_numpy`` on the resolved backend is the
-    number the acceptance gate reads.
+    ``repeats``.  ``pdn_sample`` does the same for the ``pdn`` kernel's
+    sensor-sampling op: the ALU bank under per-register jitter.
+    ``speedup_vs_numpy`` on the resolved backend is the number the
+    acceptance gate reads.
     """
     from repro.aes.batch import BatchedAES128, cycle_activity_and_ciphertexts
     from repro.attacks.cpa import StreamingCPA
@@ -1214,7 +1264,12 @@ def run_kernels_benchmark(
         "kernels": {},
     }
 
-    def sweep(kernel: str, fn: Callable[[], object], n: int) -> None:
+    def sweep(
+        kernel: str,
+        fn: Callable[[], object],
+        n: int,
+        name: Optional[str] = None,
+    ) -> None:
         with kernels.use("numpy"):
             reference = fn()
         backends: Dict[str, object] = {}
@@ -1225,7 +1280,8 @@ def run_kernels_benchmark(
         numpy_s = backends["numpy"]["seconds"]
         for case in backends.values():
             case["speedup_vs_numpy"] = numpy_s / case["seconds"]
-        record["kernels"][kernel] = {
+        record["kernels"][name or kernel] = {
+            "kernel": kernel,
             "num_traces": n,
             "resolved_backend": kernels.active_backends()[kernel],
             "backends": backends,
@@ -1270,6 +1326,19 @@ def run_kernels_benchmark(
         "resample",
         lambda: polyphase_resample(resample_batch, 3, 2),
         resample_traces,
+    )
+
+    calibration = BenignSensor.from_name("alu").instances[0].calibration
+    voltages = rng.normal(1.0, 0.02, size=sample_traces)
+    shared = rng.normal(0.0, DEFAULT_SHARED_JITTER_PS, size=sample_traces)
+    sweep(
+        "pdn",
+        lambda: calibration.sample_bits(
+            voltages, jitter_ps=DEFAULT_JITTER_PS, seed=seed,
+            shared_jitter_ps=shared,
+        ),
+        sample_traces,
+        name="pdn_sample",
     )
     return record
 

@@ -3,8 +3,13 @@
 PRs 1-5 vectorized the trace path and fixed the parallel fan-out; what
 remains of the campaign wall-clock is the *serial ceiling* of three
 numpy kernels — the batched AES round pipeline, the second-order IIR
-PDN recurrence, and the streaming-CPA accumulate.  This module is the
-single place that decides which implementation of each kernel runs:
+PDN recurrence, and the streaming-CPA accumulate.  The ``pdn`` kernel
+covers the whole analogue chain from voltage in: besides the droop
+recurrence it serves sensor sampling, the per-register-jitter latch of
+:mod:`repro.core.waveform_bank` (ops ``sample_padded`` and
+``sample_per_endpoint``), so ``pdn=numpy`` selects the numpy reference
+for both.  This module is the single place that decides which
+implementation of each kernel runs:
 
 * ``numpy`` — the reference fast path that exists today.  Always
   available, and the ground truth every other backend is asserted
@@ -31,7 +36,9 @@ scipy path honours: **bit-identical outputs** on campaign inputs.  AES
 and the hypothesis blocks are exact integer arithmetic; the PDN
 recurrence evaluates the same three fused float64 operations per sample
 in the same order on every backend (the native build disables FMA
-contraction for exactly this reason); the CPA sums are float64 sums of
+contraction for exactly this reason); the native sampler draws each
+Gaussian with numpy's own ziggurat, consuming the generator stream
+exactly as ``Generator.normal`` does; the CPA sums are float64 sums of
 integer-valued leakage/hypotheses, which are order-independent and
 therefore exact (the same property :meth:`StreamingCPA.merge` already
 relies on).  The test suite asserts exact equality across every
@@ -155,13 +162,14 @@ def parse_spec(spec: Optional[str]) -> Dict[str, str]:
 #: instead (see :func:`dispatch`).
 _IMPLS: Dict[Tuple[str, str], Dict[str, Callable]] = {}
 
-#: The module(s) whose import registers each kernel's ops.  Probing a
+#: The module(s) whose import registers each kernel's ops (the sensor
+#: sampling ops are filed under ``pdn``).  Probing a
 #: kernel's availability (or dispatching it) before its domain module
 #: happens to be imported must not silently miss backends, so the
 #: registry imports them on demand; re-imports are cached no-ops.
 _DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "aes": ("repro.aes.batch", "repro.attacks.models"),
-    "pdn": ("repro.pdn.model",),
+    "pdn": ("repro.pdn.model", "repro.core.waveform_bank"),
     "cpa": ("repro.attacks.cpa",),
     "resample": ("repro.preprocess.resample",),
 }
@@ -442,6 +450,9 @@ def describe() -> str:
     ]
     if meta["native_provider"] is not None:
         native = "native: %s" % meta["native_provider"]
+        sampler_reason = _load_native().sampler_reason
+        if sampler_reason is not None:
+            native += ", sampler: numpy (%s)" % sampler_reason
     else:
         native = "native: unavailable (%s)" % _native_unavailable_reason()
     numba = (

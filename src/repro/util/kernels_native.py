@@ -20,6 +20,19 @@ outputs are bit-identical, not merely close — the property the
 exact-equality test suite and the bench's assert-before-timing check
 enforce.
 
+The cc provider also serves the sensor's jitter sampler (``pdn`` ops
+``sample_padded`` and ``sample_per_endpoint``) from a second library
+linked against numpy's own ``libnpyrandom.a``: one C loop per endpoint
+draws numpy's Gaussian, adds the query time and latches the bit, with
+the same bits out and the same generator state after as the numpy op.
+Its hash also covers the numpy version and the archive path, so a numpy
+upgrade rebuilds it.  When the archive or ``bitgen.h`` is missing, the
+build fails, or the load-time self-check (2**20 draws against
+``Generator.normal``, plus the generator state after) fails, only the
+sampler ops are absent — every other native op still loads, sampling
+falls back to numpy op by op, and :attr:`NativeProvider.sampler_reason`
+says why.  The numba provider has no sampler ops.
+
 Nothing here is ever pickled: the registry dispatches to these ops at
 call time, so campaign objects carry no numba dispatchers or ctypes
 handles.  Forked pool workers inherit the loaded library; spawned ones
@@ -38,7 +51,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,11 +74,19 @@ class NativeProvider:
         provider: ``"numba"`` or ``"cc"`` — recorded in bench metadata.
         ops: ``{(kernel, op): callable}`` with the same signatures the
             registered numpy reference ops use.
+        sampler_reason: why the fused sampler ops are absent (their
+            dispatch falls back to numpy), or None when they loaded.
     """
 
-    def __init__(self, provider: str, ops: Dict[Tuple[str, str], Callable]):
+    def __init__(
+        self,
+        provider: str,
+        ops: Dict[Tuple[str, str], Callable],
+        sampler_reason: Optional[str] = None,
+    ):
         self.provider = provider
         self.ops = ops
+        self.sampler_reason = sampler_reason
 
 
 # ----------------------------------------------------------------------
@@ -641,6 +662,235 @@ long long repro_cpa_accumulate_i8(
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
 
+#: The fused jitter sampler (``pdn`` ops ``sample_padded`` and
+#: ``sample_per_endpoint``), built as a second library so that a host
+#: without numpy's static random library still gets every other op.
+#:
+#: Its Gaussian draw *is* ``Generator.normal``: numpy's ziggurat accepts
+#: about 99% of its 64-bit words on a fast path (strip index = low 8
+#: bits, sign = bit 8, magnitude = bits 9-60, accepted when the
+#: magnitude is below the strip's bound), which is inlined here with the
+#: sign applied by XOR instead of a branch; every
+#: other word is handed to numpy's own ``random_standard_normal``
+#: (linked from ``libnpyrandom.a``) through a ``bitgen_t`` that first
+#: replays the word already drawn and then forwards to the caller's
+#: generator, so the slow path is numpy's code, not a copy of it.  The
+#: ziggurat tables are ``static`` in that archive; ``repro_zig_probe``
+#: recovers the fast-path bounds and widths by calling
+#: ``random_standard_normal`` on chosen words (a strip whose bound it
+#: cannot recover keeps bound 0 and always takes the slow path).
+_SAMPLER_SOURCE = r"""
+#include <stdint.h>
+#include <string.h>
+#include <numpy/random/bitgen.h>
+
+/* distributions.h pulls in Python.h; declare the one entry point used. */
+double random_standard_normal(bitgen_t *bitgen_state);
+
+static uint64_t zig_k[256];
+static double zig_w[256];
+
+/* Probe generator: the chosen word first, then words that the fast
+   path accepts (strip 0, magnitude 0), and 0.5 for every double, which
+   ends the tail loop; any draw beyond the first word marks a reject. */
+typedef struct {
+    uint64_t first;
+    int words;
+    int doubles;
+} probe_state;
+
+static uint64_t probe_next_uint64(void *st)
+{
+    probe_state *p = (probe_state *)st;
+    return p->words++ == 0 ? p->first : 0;
+}
+
+static uint32_t probe_next_uint32(void *st)
+{
+    return (uint32_t)probe_next_uint64(st);
+}
+
+static double probe_next_double(void *st)
+{
+    ((probe_state *)st)->doubles++;
+    return 0.5;
+}
+
+static int probe_accepts(uint64_t word, double *value)
+{
+    probe_state p = {word, 0, 0};
+    bitgen_t bg = {&p, probe_next_uint64, probe_next_uint32,
+                   probe_next_double, probe_next_uint64};
+    double x = random_standard_normal(&bg);
+    if (value)
+        *value = x;
+    return p.words == 1 && p.doubles == 0;
+}
+
+long long repro_zig_probe(void)
+{
+    long long fast = 0;
+    for (uint64_t idx = 0; idx < 256; ++idx) {
+        double w = 0.0;
+        uint64_t bound = 0;
+        if (probe_accepts(idx | (1ULL << 9), &w)) {
+            /* Acceptance is "magnitude < bound": bisect for the bound. */
+            uint64_t lo = 1, hi = 1ULL << 52;
+            while (hi - lo > 1) {
+                uint64_t mid = lo + (hi - lo) / 2;
+                if (probe_accepts(idx | (mid << 9), NULL))
+                    lo = mid;
+                else
+                    hi = mid;
+            }
+            bound = hi;
+            ++fast;
+        } else {
+            w = 0.0;
+        }
+        /* Stored once, never zeroed first: a re-probe rewrites the same
+           values under any sampler still running on this library. */
+        zig_w[idx] = w;
+        zig_k[idx] = bound;
+    }
+    return fast;
+}
+
+typedef struct {
+    bitgen_t base;
+    bitgen_t *real;
+    uint64_t pending;
+    int has_pending;
+} replay_state;
+
+static uint64_t replay_next_uint64(void *st)
+{
+    replay_state *r = (replay_state *)st;
+    if (r->has_pending) {
+        r->has_pending = 0;
+        return r->pending;
+    }
+    return r->real->next_uint64(r->real->state);
+}
+
+static uint32_t replay_next_uint32(void *st)
+{
+    replay_state *r = (replay_state *)st;
+    return r->real->next_uint32(r->real->state);
+}
+
+static double replay_next_double(void *st)
+{
+    replay_state *r = (replay_state *)st;
+    return r->real->next_double(r->real->state);
+}
+
+static uint64_t replay_next_raw(void *st)
+{
+    replay_state *r = (replay_state *)st;
+    return r->real->next_raw(r->real->state);
+}
+
+static void replay_init(replay_state *r, bitgen_t *real)
+{
+    r->base.state = r;
+    r->base.next_uint64 = replay_next_uint64;
+    r->base.next_uint32 = replay_next_uint32;
+    r->base.next_double = replay_next_double;
+    r->base.next_raw = replay_next_raw;
+    r->real = real;
+    r->has_pending = 0;
+}
+
+/* One standard normal, bit-identical to random_standard_normal. */
+static inline double draw_normal(bitgen_t *bg, replay_state *rp)
+{
+    uint64_t r = bg->next_uint64(bg->state);
+    unsigned idx = (unsigned)(r & 0xff);
+    uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+    if (__builtin_expect(rabs < zig_k[idx], 1)) {
+        double x = (double)rabs * zig_w[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= ((r >> 8) & 1) << 63;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    rp->pending = r;
+    rp->has_pending = 1;
+    return random_standard_normal(&rp->base);
+}
+
+/* Generator.normal(0.0, sigma, n): loc + scale * z, in that order. */
+void repro_normal_fill(void *bitgen, long long n, double sigma, double *out)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    replay_state rp;
+    replay_init(&rp, bg);
+    for (long long j = 0; j < n; ++j)
+        out[j] = 0.0 + sigma * draw_normal(bg, &rp);
+}
+
+/* Endpoint-major draw order (endpoint i's n draws follow endpoint
+   i - 1's), bits written in place into the row-major (n, num_bits)
+   output.  edges is (num_bits, max_edges), +inf padded. */
+void repro_sample_padded(
+    void *bitgen, const double *tau, long long n, double sigma,
+    const double *edges, long long max_edges, long long num_bits,
+    const uint8_t *initial, uint8_t *out)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    replay_state rp;
+    replay_init(&rp, bg);
+    for (long long i = 0; i < num_bits; ++i) {
+        const double *e = edges + max_edges * i;
+        uint8_t v0 = initial[i];
+        uint8_t *col = out + i;
+        for (long long j = 0; j < n; ++j) {
+            double q = (0.0 + sigma * draw_normal(bg, &rp)) + tau[j];
+            unsigned c = 0;
+            for (long long k = 0; k < max_edges; ++k)
+                c += q >= e[k];
+            col[num_bits * j] = v0 ^ (uint8_t)(c & 1);
+        }
+    }
+}
+
+/* numpy's float ordering for searchsorted: NaN sorts last. */
+static inline int np_less(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+void repro_sample_per_endpoint(
+    void *bitgen, const double *tau, long long n, double sigma,
+    const long long *offsets, const double *times, const uint8_t *values,
+    long long num_bits, uint8_t *out)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    replay_state rp;
+    replay_init(&rp, bg);
+    for (long long i = 0; i < num_bits; ++i) {
+        const double *t = times + offsets[i];
+        const uint8_t *v = values + offsets[i];
+        long long len = offsets[i + 1] - offsets[i];
+        uint8_t *col = out + i;
+        for (long long j = 0; j < n; ++j) {
+            double q = tau[j] + (0.0 + sigma * draw_normal(bg, &rp));
+            long long lo = 0, hi = len;
+            while (lo < hi) {
+                long long mid = lo + ((hi - lo) >> 1);
+                if (np_less(q, t[mid]))
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            col[num_bits * j] = v[lo > 0 ? lo - 1 : 0];
+        }
+    }
+}
+"""
+
 
 def _cache_dir() -> str:
     configured = os.environ.get(CACHE_ENV)
@@ -660,13 +910,24 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compile_library(compiler: str) -> str:
-    """Build (or reuse) the content-hashed shared library; return path."""
+def _compile_library(
+    compiler: str,
+    name: str = "repro_kernels",
+    source: str = _C_SOURCE,
+    flags: Sequence[str] = _CFLAGS,
+    link_args: Sequence[str] = ("-lm",),
+    key: Sequence[str] = (),
+) -> str:
+    """Build (or reuse) a content-hashed shared library; return path.
+
+    The hash covers the source, the flags and ``key`` (what else the
+    build depends on), so any change to them builds a new library.
+    """
     digest = hashlib.sha256(
-        ("\0".join([_C_SOURCE] + _CFLAGS)).encode()
+        ("\0".join([source, *flags, *key])).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
-    lib_path = os.path.join(cache, "repro_kernels_%s.so" % digest)
+    lib_path = os.path.join(cache, "%s_%s.so" % (name, digest))
     if os.path.exists(lib_path):
         return lib_path
     os.makedirs(cache, exist_ok=True)
@@ -675,10 +936,10 @@ def _compile_library(compiler: str) -> str:
     fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(_C_SOURCE)
+            handle.write(source)
         tmp_lib = src_path[:-2] + ".so"
         subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp_lib, src_path, "-lm"],
+            [compiler, *flags, "-o", tmp_lib, src_path, *link_args],
             check=True,
             capture_output=True,
             text=True,
@@ -886,6 +1147,146 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     }
 
 
+class SamplerUnavailable(Exception):
+    """The fused sampler cannot be built, loaded or trusted here."""
+
+
+#: The load-time self-check compares ``_SELF_CHECK_BLOCKS`` blocks of
+#: ``_SELF_CHECK_BLOCK`` draws (2**20 in all) against
+#: ``Generator.normal``; blocks keep its memory small.
+_SELF_CHECK_BLOCK = 1 << 14
+_SELF_CHECK_BLOCKS = 64
+
+
+def _numpy_random_paths() -> Tuple[str, str]:
+    """numpy's include dir and ``libnpyrandom.a``, or SamplerUnavailable."""
+    include = np.get_include()
+    header = os.path.join(include, "numpy", "random", "bitgen.h")
+    archive = os.path.join(
+        os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a"
+    )
+    for path in (header, archive):
+        if not os.path.exists(path):
+            raise SamplerUnavailable("%s not found" % path)
+    return include, archive
+
+
+def _compile_sampler(compiler: str) -> str:
+    include, archive = _numpy_random_paths()
+    try:
+        return _compile_library(
+            compiler,
+            name="repro_sampler",
+            source=_SAMPLER_SOURCE,
+            flags=_CFLAGS + ["-I", include],
+            link_args=(archive, "-lm"),
+            # A numpy upgrade changes the archive's code: rebuild.
+            key=(np.__version__, archive),
+        )
+    except subprocess.CalledProcessError as exc:
+        raise SamplerUnavailable(
+            "sampler build failed: %s" % (exc.stderr or exc).strip()
+        ) from None
+
+
+def _with_bitgen(rng: np.random.Generator, fn: Callable, *args) -> None:
+    """Call ``fn(bitgen_t*, *args)`` holding the generator's lock."""
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        fn(bitgen.ctypes.bit_generator, *args)
+
+
+def _sampler_self_check(lib) -> Optional[str]:
+    """None if the native draw is ``Generator.normal``, else why not."""
+    expected_rng = np.random.default_rng(20211015)
+    native_rng = np.random.default_rng(20211015)
+    got = np.empty(_SELF_CHECK_BLOCK, dtype=np.float64)
+    for _ in range(_SELF_CHECK_BLOCKS):
+        expected = expected_rng.normal(0.0, 1.5, size=got.shape[0])
+        _with_bitgen(
+            native_rng, lib.repro_normal_fill, got.shape[0], 1.5,
+            got.ctypes.data,
+        )
+        if not np.array_equal(expected.view(np.uint64), got.view(np.uint64)):
+            return "native Gaussian draws differ from Generator.normal"
+    if native_rng.bit_generator.state != expected_rng.bit_generator.state:
+        return "native draws leave the generator in a different state"
+    return None
+
+
+def _build_sampler_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
+    """Load, probe and self-check the sampler; raise SamplerUnavailable."""
+    try:
+        lib = ctypes.CDLL(lib_path)
+    except OSError as exc:
+        raise SamplerUnavailable("sampler failed to load: %s" % exc) from None
+    vp = ctypes.c_void_p
+    ll = ctypes.c_longlong
+    f64 = ctypes.c_double
+    lib.repro_zig_probe.argtypes = []
+    lib.repro_zig_probe.restype = ll
+    lib.repro_normal_fill.argtypes = [vp, ll, f64, vp]
+    lib.repro_normal_fill.restype = None
+    lib.repro_sample_padded.argtypes = [vp, vp, ll, f64, vp, ll, ll, vp, vp]
+    lib.repro_sample_padded.restype = None
+    lib.repro_sample_per_endpoint.argtypes = [
+        vp, vp, ll, f64, vp, vp, vp, ll, vp
+    ]
+    lib.repro_sample_per_endpoint.restype = None
+
+    if lib.repro_zig_probe() == 0:
+        raise SamplerUnavailable("ziggurat probe found no fast-path strip")
+    reason = _sampler_self_check(lib)
+    if reason is not None:
+        raise SamplerUnavailable("sampler self-check failed: %s" % reason)
+
+    def sample_padded(tau, jitter_ps, rng, padded_times, initial_values):
+        tau = np.ascontiguousarray(tau, dtype=np.float64)
+        edges = np.ascontiguousarray(padded_times.T, dtype=np.float64)
+        initial = np.ascontiguousarray(initial_values, dtype=np.uint8)
+        if tau.ndim != 1 or initial.shape != edges.shape[:1]:
+            raise ValueError("sample_padded: mismatched bank arrays")
+        out = np.empty((tau.shape[0], edges.shape[0]), dtype=np.uint8)
+        _with_bitgen(
+            rng, lib.repro_sample_padded, tau.ctypes.data, tau.shape[0],
+            jitter_ps, edges.ctypes.data, edges.shape[1], edges.shape[0],
+            initial.ctypes.data, out.ctypes.data,
+        )
+        return out
+
+    def sample_per_endpoint(
+        tau, jitter_ps, rng, offsets, flat_times_ps, flat_values
+    ):
+        tau = np.ascontiguousarray(tau, dtype=np.float64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        times = np.ascontiguousarray(flat_times_ps, dtype=np.float64)
+        values = np.ascontiguousarray(flat_values, dtype=np.uint8)
+        if (
+            tau.ndim != 1
+            or offsets.ndim != 1
+            or offsets.shape[0] < 2
+            or offsets[0] != 0
+            or offsets[-1] != times.shape[0]
+            or times.shape != values.shape
+        ):
+            raise ValueError("sample_per_endpoint: mismatched bank arrays")
+        if np.any(offsets[1:] <= offsets[:-1]):
+            raise ValueError("every endpoint needs at least one edge")
+        num_bits = offsets.shape[0] - 1
+        out = np.empty((tau.shape[0], num_bits), dtype=np.uint8)
+        _with_bitgen(
+            rng, lib.repro_sample_per_endpoint, tau.ctypes.data,
+            tau.shape[0], jitter_ps, offsets.ctypes.data, times.ctypes.data,
+            values.ctypes.data, num_bits, out.ctypes.data,
+        )
+        return out
+
+    return {
+        ("pdn", "sample_padded"): sample_padded,
+        ("pdn", "sample_per_endpoint"): sample_per_endpoint,
+    }
+
+
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
@@ -935,7 +1336,10 @@ def load_native() -> Optional[NativeProvider]:
     if request in ("auto", "numba"):
         if numba is not None:
             try:
-                _LOADED = NativeProvider("numba", _build_numba_ops())
+                _LOADED = NativeProvider(
+                    "numba", _build_numba_ops(),
+                    sampler_reason="the numba provider has no sampler ops",
+                )
                 return _LOADED
             except Exception as exc:  # pragma: no cover - numba hosts
                 reasons.append("numba kernels failed to build: %s" % exc)
@@ -950,7 +1354,13 @@ def load_native() -> Optional[NativeProvider]:
         else:
             try:
                 lib_path = _compile_library(compiler)
-                _LOADED = NativeProvider("cc", _build_cc_ops(lib_path))
+                ops = _build_cc_ops(lib_path)
+                try:
+                    ops.update(_build_sampler_ops(_compile_sampler(compiler)))
+                    sampler_reason = None
+                except SamplerUnavailable as exc:
+                    sampler_reason = str(exc)
+                _LOADED = NativeProvider("cc", ops, sampler_reason)
                 return _LOADED
             except subprocess.CalledProcessError as exc:
                 reasons.append(

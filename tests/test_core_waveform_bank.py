@@ -12,6 +12,8 @@ import pytest
 
 from repro.core import BenignSensor, WaveformBank, build_bank
 from repro.core.calibration import EndpointWaveform
+from repro.core.waveform_bank import PADDED_EDGE_LIMIT
+from repro.util import kernels
 from repro.util.rng import derive_seed, make_rng
 
 
@@ -180,3 +182,82 @@ class TestFullSensorEquivalence:
             for inst in sensor.instances:
                 del inst.calibration.__dict__["sample_bits"]
         assert np.array_equal(fast, slow)
+
+
+SAMPLER_BACKENDS = kernels.available_backends("pdn")
+
+
+def _sampled(backend, bank, op, tau, jitter_ps, seed):
+    """One backend's bits and the generator state after the call."""
+    rng = make_rng(seed, "endpoint-jitter")
+    with kernels.use(backend):
+        method = getattr(bank, op)
+        bits = method(tau, jitter_ps, rng)
+    return bits, rng.bit_generator.state
+
+
+def _assert_backend_matches_numpy(backend, bank, op, tau, jitter_ps, seed):
+    want = _sampled("numpy", bank, op, tau, jitter_ps, seed)
+    got = _sampled(backend, bank, op, tau, jitter_ps, seed)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+class TestSamplingBackends:
+    """The pdn sampling ops agree bit for bit on every backend."""
+
+    @pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+    def test_alu_calibration_path(self, backend, alu_calibration):
+        v = _voltage_sweep(6000)
+        shared = _shared_jitter(6000)
+        kwargs = dict(jitter_ps=45.0, seed=17, shared_jitter_ps=shared)
+        with kernels.use("numpy"):
+            want = alu_calibration.sample_bits(v, **kwargs)
+        with kernels.use(backend):
+            got = alu_calibration.sample_bits(v, **kwargs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            got, alu_calibration.sample_bits_reference(v, **kwargs)
+        )
+
+    @pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_c6288_per_endpoint(self, backend, seed, c6288_calibration):
+        bank = c6288_calibration.bank
+        assert bank.max_edges > PADDED_EDGE_LIMIT
+        tau = c6288_calibration._query_times(
+            _voltage_sweep(1500), _shared_jitter(1500)
+        )
+        _assert_backend_matches_numpy(
+            backend, bank, "_sample_per_endpoint", tau, 45.0, seed
+        )
+
+    @pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+    def test_deep_bank_nonfinite_queries(self, backend):
+        # searchsorted orders NaN after every edge (index = length), the
+        # padded count never counts it: each op keeps its own rule.
+        rng = make_rng(derive_seed(3, "deep-bank"))
+        waveforms = []
+        for i in range(9):
+            count = 40 + 3 * i
+            times = np.sort(rng.uniform(-500.0, 500.0, size=count))
+            times[: 2 + i % 3] = times[0]  # repeated edge times
+            values = rng.integers(0, 2, size=count + 1).astype(np.uint8)
+            waveforms.append(EndpointWaveform(
+                "d%d" % i, np.concatenate(([-np.inf], times)), values,
+            ))
+        bank = WaveformBank(waveforms)
+        tau = rng.normal(0.0, 300.0, size=3000)
+        tau[::5] = np.nan
+        tau[1::7] = np.inf
+        tau[2::9] = -np.inf
+        _assert_backend_matches_numpy(
+            backend, bank, "_sample_per_endpoint", tau, 20.0, 8
+        )
+        bits, _ = _sampled(
+            backend, bank, "_sample_per_endpoint", tau, 20.0, 8
+        )
+        last = bank.flat_values[bank.offsets[1:] - 1]
+        nan_rows = bits[np.isnan(tau)]
+        assert nan_rows.shape[0] > 0
+        assert np.array_equal(nan_rows, np.broadcast_to(last, nan_rows.shape))

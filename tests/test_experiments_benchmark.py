@@ -14,6 +14,7 @@ from repro.experiments.benchmark import (
     run_e2e_benchmark,
     write_e2e_benchmark,
 )
+from repro.util import kernels
 
 
 class TestParallelSpeedupFields:
@@ -154,6 +155,13 @@ class TestHostMetadata:
         assert record["host"]["python"]
         assert record["host"]["usable_cpus"] == record["cpu_count"]
         assert record["campaign"]["workers_exceed_cpus"] is False
+        jitter = record["sampling"]["jitter_backends"]
+        assert jitter["numpy"]["identical_to_numpy"] is True
+        if "native" in kernels.available_backends("pdn"):
+            assert jitter["native"]["identical_to_numpy"] is True
+            assert jitter["native_speedup"] > 0
+        else:
+            assert jitter["native_speedup"] is None
         json.dumps(record)
 
 
@@ -194,18 +202,22 @@ class TestKernelsBenchmark:
             pdn_traces=8,
             pdn_samples=64,
             cpa_traces=400,
+            sample_traces=500,
             repeats=1,
             seed=5,
         )
         assert path.exists()
         assert json.loads(path.read_text()) is not None
-        assert set(record["kernels"]) == {"aes", "pdn", "cpa", "resample"}
-        for kernel, entry in record["kernels"].items():
+        assert set(record["kernels"]) == {
+            "aes", "pdn", "cpa", "resample", "pdn_sample",
+        }
+        assert record["kernels"]["pdn_sample"]["kernel"] == "pdn"
+        for name, entry in record["kernels"].items():
             backends = entry["backends"]
             # Every backend available on this host was swept and
             # asserted bit-identical before timing.
             assert set(backends) == set(
-                kernels.available_backends(kernel)
+                kernels.available_backends(entry["kernel"])
             )
             assert entry["resolved_backend"] in backends
             assert backends["numpy"]["speedup_vs_numpy"] == 1.0

@@ -493,3 +493,305 @@ class TestNativeProcessSafety:
             resolved = kernels.active_backends()
         assert resolved["aes"] == "native"
         assert resolved["pdn"] == "numpy"
+
+
+# ----------------------------------------------------------------------
+# Sensor sampling ops of the pdn kernel: the fused native sampler must
+# reproduce the numpy op's bits *and* leave the generator in the state
+# Generator.normal leaves it in.
+# ----------------------------------------------------------------------
+
+
+def _sampler_loaded():
+    provider = kernels_native.load_native()
+    return provider is not None and ("pdn", "sample_padded") in provider.ops
+
+
+needs_sampler = pytest.mark.skipif(
+    not _sampler_loaded(), reason="no native sampler on this host"
+)
+
+
+def _sample_op(backend, op="sample_padded"):
+    with kernels.use(backend):
+        return kernels.dispatch("pdn", op)
+
+
+def _run_sampler(backend, seed, tau, sigma, *bank_args):
+    """Bits and the generator state after, for one backend."""
+    rng = np.random.default_rng(seed)
+    bits = _sample_op(backend)(tau, sigma, rng, *bank_args)
+    return bits, rng.bit_generator.state
+
+
+def _assert_sampler_matches(backend, seed, tau, sigma, *bank_args):
+    want_bits, want_state = _run_sampler("numpy", seed, tau, sigma, *bank_args)
+    got_bits, got_state = _run_sampler(backend, seed, tau, sigma, *bank_args)
+    assert got_bits.dtype == np.uint8
+    assert got_bits.shape == want_bits.shape
+    assert np.array_equal(got_bits, want_bits)
+    assert got_state == want_state
+
+
+def _synthetic_padded(num_bits, max_edges, seed):
+    """(padded_times, initial_values) of a random alternating bank."""
+    from repro.core.calibration import EndpointWaveform
+    from repro.core.waveform_bank import WaveformBank
+
+    rng = make_rng(derive_seed(seed, "synthetic-bank"))
+    waveforms = []
+    for i in range(num_bits):
+        count = int(rng.integers(0, max_edges + 1)) if i else max_edges
+        times = np.sort(rng.uniform(-300.0, 300.0, size=count))
+        values = (int(rng.integers(0, 2)) + np.arange(count + 1)) % 2
+        waveforms.append(EndpointWaveform(
+            "e%d" % i,
+            np.concatenate(([-np.inf], times)),
+            values.astype(np.uint8),
+        ))
+    bank = WaveformBank(waveforms)
+    assert bank.max_edges == max_edges
+    return bank.padded_times, bank.initial_values
+
+
+@pytest.fixture(scope="module")
+def alu_bank(alu_sensor):
+    return alu_sensor.instances[0].calibration.bank
+
+
+def _tau(n, seed=5):
+    return make_rng(derive_seed(seed, "sampler-tau")).normal(0.0, 80.0, n)
+
+
+def _run_threads(threads):
+    """Start and join ``threads`` under a short switch interval."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestSamplerBackendsBitIdentical:
+    @pytest.mark.parametrize("backend", PDN_BACKENDS)
+    @pytest.mark.parametrize("n", [0, 1, 7, 50_000])
+    def test_alu_bank_sizes(self, backend, n, alu_bank):
+        # n = 50k is 9.6M draws: about 1% of ziggurat words are rejected
+        # (~65k wedge and ~2.5k tail rejections), so numpy's slow path
+        # runs through the replaying generator many times over.
+        _assert_sampler_matches(
+            backend, 11, _tau(n), 45.0,
+            alu_bank.padded_times, alu_bank.initial_values,
+        )
+
+    @pytest.mark.parametrize("backend", PDN_BACKENDS)
+    @pytest.mark.parametrize("seed", [0, 3, 2**62 + 7])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 45.0, 1e6])
+    def test_seeds_and_sigmas(self, backend, seed, sigma, alu_bank):
+        _assert_sampler_matches(
+            backend, seed, _tau(3000, seed % 97), sigma,
+            alu_bank.padded_times, alu_bank.initial_values,
+        )
+
+    @pytest.mark.parametrize("backend", PDN_BACKENDS)
+    def test_nonfinite_query_times(self, backend, alu_bank):
+        tau = _tau(4000)
+        tau[::7] = np.nan
+        tau[1::11] = np.inf
+        tau[2::13] = -np.inf
+        _assert_sampler_matches(
+            backend, 4, tau, 45.0,
+            alu_bank.padded_times, alu_bank.initial_values,
+        )
+
+    @pytest.mark.parametrize("backend", PDN_BACKENDS)
+    @pytest.mark.parametrize("max_edges", range(1, 17))
+    def test_synthetic_alternating_banks(self, backend, max_edges):
+        padded, initial = _synthetic_padded(37, max_edges, max_edges)
+        _assert_sampler_matches(
+            backend, max_edges, _tau(1500, max_edges), 60.0,
+            padded, initial,
+        )
+
+    @needs_sampler
+    def test_concurrent_threads_match_serial(self, alu_bank):
+        import threading
+
+        op = _sample_op("native")
+        tau = _tau(20_000)
+        args = (alu_bank.padded_times, alu_bank.initial_values)
+        seeds = [31, 32, 33, 34]
+        serial = [
+            op(tau, 45.0, np.random.default_rng(s), *args) for s in seeds
+        ]
+        results = {}
+
+        def worker(seed):
+            results[seed] = [
+                op(tau, 45.0, np.random.default_rng(seed), *args)
+                for _ in range(3)
+            ]
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
+        _run_threads(threads)
+        for seed, want in zip(seeds, serial):
+            for got in results[seed]:
+                assert np.array_equal(got, want)
+
+    @needs_sampler
+    def test_shared_generator_threads_serialize_on_its_lock(self, alu_bank):
+        # Two threads drawing from one generator: the lock makes the
+        # calls atomic, so the pair equals the two serial calls in
+        # some order and the final state equals two serial calls'.
+        import threading
+
+        op = _sample_op("native")
+        tau = _tau(20_000)
+        args = (alu_bank.padded_times, alu_bank.initial_values)
+        serial_rng = np.random.default_rng(40)
+        first = op(tau, 45.0, serial_rng, *args)
+        second = op(tau, 45.0, serial_rng, *args)
+        shared = np.random.default_rng(40)
+        outs = []
+        threads = [
+            threading.Thread(
+                target=lambda: outs.append(op(tau, 45.0, shared, *args))
+            )
+            for _ in range(2)
+        ]
+        _run_threads(threads)
+        assert shared.bit_generator.state == serial_rng.bit_generator.state
+        assert any(np.array_equal(out, first) for out in outs)
+        assert any(np.array_equal(out, second) for out in outs)
+
+
+class TestSamplerRouting:
+    def test_numpy_specs_route_to_reference(self):
+        from repro.core import waveform_bank
+
+        for spec in ("numpy", "pdn=numpy", "aes=native,pdn=numpy"):
+            if "native" in spec and not NATIVE:
+                continue
+            assert (
+                _sample_op(spec) is waveform_bank._sample_padded_numpy
+            )
+            assert (
+                _sample_op(spec, "sample_per_endpoint")
+                is waveform_bank._sample_per_endpoint_numpy
+            )
+
+    @needs_sampler
+    def test_mismatched_bank_arrays_rejected(self, alu_bank):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            _sample_op("native")(
+                _tau(10), 45.0, rng,
+                alu_bank.padded_times, alu_bank.initial_values[:-1],
+            )
+        offsets = np.array([0, 3, 3, 5])
+        with pytest.raises(ValueError):
+            _sample_op("native", "sample_per_endpoint")(
+                _tau(10), 45.0, rng, offsets, np.zeros(5), np.zeros(5),
+            )
+        with pytest.raises(ValueError):
+            _sample_op("native", "sample_per_endpoint")(
+                _tau(10), 45.0, rng, np.array([0, 2, 6]),
+                np.zeros(5), np.zeros(5),
+            )
+
+    @needs_sampler
+    def test_native_routes_to_fused_op(self):
+        provider = kernels_native.load_native()
+        assert _sample_op("native") is provider.ops[("pdn", "sample_padded")]
+        assert provider.sampler_reason is None
+        assert "sampler" not in kernels.describe()
+
+
+@pytest.fixture
+def cc_provider(monkeypatch):
+    """Force the cc provider, re-probed, and restore the probe after."""
+    if kernels_native._find_compiler() is None:
+        pytest.skip("no C compiler on this host")
+    monkeypatch.setenv(kernels_native.PROVIDER_ENV, "cc")
+    kernels.invalidate_cache()
+    yield
+    monkeypatch.undo()
+    kernels.invalidate_cache()
+
+
+class TestSamplerLoadRobustness:
+    def _assert_sampler_absent_rest_native(self, needle):
+        from repro.core import waveform_bank
+
+        provider = kernels_native.load_native()
+        assert provider is not None and provider.provider == "cc"
+        assert ("pdn", "sample_padded") not in provider.ops
+        assert ("pdn", "sample_per_endpoint") not in provider.ops
+        assert ("aes", "round_states") in provider.ops
+        assert ("pdn", "integrate_batch") in provider.ops
+        assert needle in provider.sampler_reason
+        with kernels.use("native"):
+            assert kernels.active_backends()["pdn"] == "native"
+            assert (
+                kernels.dispatch("pdn", "sample_padded")
+                is waveform_bank._sample_padded_numpy
+            )
+            assert (
+                kernels.dispatch("pdn", "integrate_batch")
+                is provider.ops[("pdn", "integrate_batch")]
+            )
+            line = kernels.describe()
+        assert "sampler: numpy (" in line and needle in line
+
+    def test_self_check_failure_keeps_numpy_op(
+        self, cc_provider, monkeypatch
+    ):
+        monkeypatch.setattr(
+            kernels_native, "_sampler_self_check",
+            lambda lib: "forced by test",
+        )
+        kernels.invalidate_cache()
+        self._assert_sampler_absent_rest_native("forced by test")
+
+    def test_missing_numpy_random_library(self, cc_provider, monkeypatch):
+        def missing():
+            raise kernels_native.SamplerUnavailable(
+                "libnpyrandom.a not found"
+            )
+
+        monkeypatch.setattr(kernels_native, "_numpy_random_paths", missing)
+        kernels.invalidate_cache()
+        self._assert_sampler_absent_rest_native("libnpyrandom.a not found")
+
+    def test_build_failure(self, cc_provider, monkeypatch):
+        monkeypatch.setattr(
+            kernels_native, "_SAMPLER_SOURCE", "#error forced by test\n"
+        )
+        kernels.invalidate_cache()
+        self._assert_sampler_absent_rest_native("sampler build failed")
+
+    def test_library_hash_covers_numpy_build(self, monkeypatch):
+        if kernels_native._find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        seen = {}
+
+        def capture(compiler, **kwargs):
+            seen.update(kwargs)
+            return "unused.so"
+
+        monkeypatch.setattr(kernels_native, "_compile_library", capture)
+        try:
+            include, archive = kernels_native._numpy_random_paths()
+        except kernels_native.SamplerUnavailable:
+            pytest.skip("numpy's static random library is not installed")
+        kernels_native._compile_sampler("cc")
+        assert np.__version__ in seen["key"]
+        assert archive in seen["key"]
+        assert include in seen["flags"]
