@@ -15,7 +15,7 @@ memory regardless of checkpoint density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -318,6 +318,27 @@ class StreamingCPA:
         return corr
 
 
+def normalize_checkpoints(
+    checkpoints: Optional[Sequence[int]], num_traces: int
+) -> np.ndarray:
+    """The checkpoint grid every CPA driver records correlations at.
+
+    ``None`` means :func:`default_checkpoints`.  Explicit points are
+    sorted and deduplicated, must lie in ``[2, num_traces]``, and get a
+    final ``num_traces`` appended when missing, so every provided trace
+    contributes to the result (traces beyond the last explicit
+    checkpoint used to be silently dropped).
+    """
+    if checkpoints is None:
+        return default_checkpoints(num_traces)
+    points = np.unique(np.asarray(checkpoints, dtype=np.int64))
+    if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
+        raise ValueError("checkpoints must lie in [2, num_traces]")
+    if points[-1] != num_traces:
+        points = np.append(points, num_traces)
+    return points
+
+
 def run_cpa(
     leakage: np.ndarray,
     hypotheses: np.ndarray,
@@ -332,11 +353,7 @@ def run_cpa(
         hypotheses: (N, 256) hypothesis matrix from
             :mod:`repro.attacks.models`.
         checkpoints: trace counts at which to record correlations;
-            defaults to :func:`default_checkpoints`.  A final
-            checkpoint at ``num_traces`` is always appended when
-            missing, so every provided trace contributes to the result
-            (traces beyond the last explicit checkpoint used to be
-            silently dropped).
+            normalized by :func:`normalize_checkpoints`.
         correct_key: true key byte for rank/MTD metrics.
 
     Returns:
@@ -348,21 +365,38 @@ def run_cpa(
         raise ValueError("leakage must be 1-D")
     if h.ndim != 2 or h.shape[0] != x.shape[0]:
         raise ValueError("hypotheses must be (N, num_candidates)")
-    num_traces = x.shape[0]
-    if checkpoints is None:
-        points = default_checkpoints(num_traces)
-    else:
-        points = np.unique(np.asarray(checkpoints, dtype=np.int64))
-        if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
-            raise ValueError("checkpoints must lie in [2, num_traces]")
-        if points[-1] != num_traces:
-            points = np.append(points, num_traces)
+    return run_cpa_segments(
+        x,
+        lambda start, stop: h[start:stop],
+        h.shape[1],
+        checkpoints=checkpoints,
+        correct_key=correct_key,
+    )
 
-    engine = StreamingCPA(num_candidates=h.shape[1])
+
+def run_cpa_segments(
+    leakage: np.ndarray,
+    hypothesis_block: Callable[[int, int], np.ndarray],
+    num_candidates: int,
+    checkpoints: Optional[Sequence[int]] = None,
+    correct_key: Optional[int] = None,
+) -> CPAResult:
+    """:func:`run_cpa` with hypotheses built one checkpoint segment at a
+    time: ``hypothesis_block(start, stop)`` returns the
+    ``(stop - start, num_candidates)`` rows for traces
+    ``start:stop``, so no whole-campaign hypothesis matrix is ever
+    held.  The engine sees the same blocks as :func:`run_cpa`, so the
+    result is bit-identical.
+    """
+    x = np.asarray(leakage, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("leakage must be 1-D")
+    points = normalize_checkpoints(checkpoints, x.shape[0])
+    engine = StreamingCPA(num_candidates=num_candidates)
     rows: List[np.ndarray] = []
     previous = 0
-    for point in points:
-        engine.update(x[previous:point], h[previous:point])
+    for point in points.tolist():
+        engine.update(x[previous:point], hypothesis_block(previous, point))
         rows.append(engine.correlations())
         previous = point
     return CPAResult(

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.aes.aes128 import invert_key_schedule
 from repro.aes.leakage import SHIFT_ROWS_SOURCE
-from repro.attacks.cpa import CPAResult, run_cpa
+from repro.attacks.cpa import CPAResult, run_cpa_segments
 from repro.attacks.models import single_bit_hypothesis
 from repro.util.executors import CampaignHealth, RetryPolicy, map_ordered
 from repro.util.shm import ArrayFanout, fanout_state
@@ -116,14 +116,20 @@ def _attack_byte_task(task: Dict[str, object]) -> CPAResult:
     state = fanout_state(task["ctx"])
     byte_index: int = task["byte_index"]
     leakage = state.array("leakage")
-    ct = state.array("ciphertexts")
+    ct_byte = state.array("ciphertexts")[:, byte_index]
     correct_key = state.heavy["correct_key"]
-    hypotheses = single_bit_hypothesis(
-        ct[:, byte_index], bit=state.heavy["target_bit"]
+    # A hypothesis row depends only on the ciphertext byte, so one
+    # (256, 256) table serves every trace.  Gathering it per checkpoint
+    # segment keeps a whole-campaign (N, 256) block per concurrent byte
+    # from dominating peak memory, and costs one call, not one per
+    # segment.
+    table = single_bit_hypothesis(
+        np.arange(256, dtype=np.uint8), bit=state.heavy["target_bit"]
     )
-    return run_cpa(
+    return run_cpa_segments(
         leakage[:, column_of_key_byte(byte_index)],
-        hypotheses,
+        lambda start, stop: table[ct_byte[start:stop]],
+        256,
         checkpoints=state.heavy["checkpoints"],
         correct_key=None if correct_key is None else correct_key[byte_index],
     )

@@ -1372,6 +1372,11 @@ def run_preprocess_benchmark(
       timings meaningful);
     * ``alignment`` — correlation-alignment throughput
       (estimate + apply) over a misaligned batch, best-of ``repeats``;
+    * ``alignment_backends`` — the correlation shift search alone on
+      that batch, numpy reference vs native op: shifts asserted
+      identical before timing, then traces/s for each, the speedup,
+      and how many rows the native op certified itself vs handed to
+      the reference;
     * ``severity_sweep`` — final key rank of the end-to-end physical
       CPA at each trigger-misalignment severity, raw vs
       correlation-aligned, plus ``recovery_frontier``: the smallest
@@ -1477,6 +1482,8 @@ def run_preprocess_benchmark(
         shifts = estimate_shifts(batch, reference, max_shift, "correlation")
         return apply_shifts(batch, shifts)
 
+    # Asserts native == numpy shifts before any alignment is timed.
+    backends = _alignment_backends(batch, reference, max_shift, repeats)
     align_s = _best_of(repeats, align_once)
     record["alignment"] = {
         "traces": int(align_traces),
@@ -1485,6 +1492,7 @@ def run_preprocess_benchmark(
         "seconds": align_s,
         "traces_per_s": align_traces / align_s,
     }
+    record["alignment_backends"] = backends
 
     # -- attack success vs misalignment severity -----------------------
     sweep = []
@@ -1526,6 +1534,50 @@ def run_preprocess_benchmark(
     record["severity_sweep"] = sweep
     record["recovery_frontier"] = frontier
     return record
+
+
+def _alignment_backends(
+    batch: np.ndarray, reference: np.ndarray, max_shift: int, repeats: int
+) -> Dict[str, object]:
+    """Numpy vs native correlation shift search on one batch."""
+    from repro.preprocess.align import estimate_shifts
+    from repro.util import kernels_native
+
+    def search(spec: str) -> Callable[[], np.ndarray]:
+        def run() -> np.ndarray:
+            with kernels.use(spec):
+                return estimate_shifts(batch, reference, max_shift)
+
+        return run
+
+    num = batch.shape[0]
+    numpy_search = search("resample=numpy")
+    provider = kernels_native.load_native()
+    if provider is None or ("resample", "estimate_shifts") not in provider.ops:
+        return {
+            "traces": num,
+            "numpy_traces_per_s": num / _best_of(repeats, numpy_search),
+            "native": None,
+        }
+    native_search = search("resample=native")
+    before = kernels_native.alignment_counts()
+    if not np.array_equal(native_search(), numpy_search()):
+        raise AssertionError(
+            "native correlation shifts differ from the numpy reference"
+        )
+    after = kernels_native.alignment_counts()
+    fallback = after["fallback_rows"] - before["fallback_rows"]
+    numpy_s = _best_of(repeats, numpy_search)
+    native_s = _best_of(repeats, native_search)
+    return {
+        "traces": num,
+        "identical": True,
+        "numpy_traces_per_s": num / numpy_s,
+        "native_traces_per_s": num / native_s,
+        "native_speedup": numpy_s / native_s,
+        "certified_rows": int(after["rows"] - before["rows"] - fallback),
+        "fallback_rows": int(fallback),
+    }
 
 
 def write_preprocess_benchmark(

@@ -54,7 +54,7 @@ from repro.aes.leakage import random_ciphertexts
 from repro.attacks.cpa import (
     CPAResult,
     StreamingCPA,
-    default_checkpoints,
+    normalize_checkpoints,
 )
 from repro.attacks.full_key import (
     FullKeyResult,
@@ -206,20 +206,6 @@ def plan_chunk_size(
     if count > 1:
         chunk = min(chunk, -(-num_traces // count))
     return int(max(1, min(chunk, num_traces)))
-
-
-def _normalize_checkpoints(
-    checkpoints: Optional[Sequence[int]], num_traces: int
-) -> np.ndarray:
-    """Checkpoint grid with the same contract as :func:`run_cpa`."""
-    if checkpoints is None:
-        return default_checkpoints(num_traces)
-    points = np.unique(np.asarray(checkpoints, dtype=np.int64))
-    if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
-        raise ValueError("checkpoints must lie in [2, num_traces]")
-    if points[-1] != num_traces:
-        points = np.append(points, num_traces)
-    return points
 
 
 def _segment_ends(shard: Shard, points: np.ndarray) -> List[int]:
@@ -472,7 +458,7 @@ def sharded_attack(
         raise ValueError("need at least 2 traces")
     mask, bit = campaign.resolve_reduction(reduction, bit)
     ciphertexts, voltages = campaign.campaign_inputs(num_traces)
-    points = _normalize_checkpoints(checkpoints, num_traces)
+    points = normalize_checkpoints(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers, chunk_size)
 
     manifest = CampaignManifest(
@@ -692,7 +678,7 @@ def sharded_physical_attack(
         if preprocess is None
         else preprocess.samples_for_column(column_of_key_byte(target_byte))
     )
-    points = _normalize_checkpoints(checkpoints, num_traces)
+    points = normalize_checkpoints(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers, chunk_size)
     params = {
         "seed": int(seed),

@@ -19,8 +19,10 @@ the fourth registered kernel (``resample``):
   like for aes/pdn/cpa (asserted in the test suite over a sweep of
   rate pairs).
 
-There is no native implementation; under a ``native`` selection the
-dispatcher falls back to ``scipy`` where available, else ``numpy``.
+``upfirdn`` has no native implementation; under a ``native`` selection
+the dispatcher falls back to ``scipy`` where available, else ``numpy``.
+The same kernel also serves the correlation shift search of
+:mod:`repro.preprocess.align`, which does have a native form.
 """
 
 from __future__ import annotations

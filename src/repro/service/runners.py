@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.aes.aes128 import AES128
 from repro.aes.leakage import random_ciphertexts
-from repro.attacks.cpa import CPAResult, StreamingCPA
+from repro.attacks.cpa import CPAResult, StreamingCPA, normalize_checkpoints
 from repro.attacks.full_key import (
     FullKeyResult,
     column_of_key_byte,
@@ -50,7 +50,6 @@ from repro.experiments.parallel import (
     Shard,
     _attack_shard_task,
     _column_shard_task,
-    _normalize_checkpoints,
     _physical_column_shard_task,
     _physical_shard_task,
     _segment_ends,
@@ -610,7 +609,7 @@ def plan_fleet_job(
     num_traces = int(params["traces"])  # type: ignore[arg-type]
     shards = plan_shards(num_traces, max(1, int(num_shards)), TRACE_CHUNK)
     if kind == "attack":
-        points = _normalize_checkpoints(None, num_traces)
+        points = normalize_checkpoints(None, num_traces)
         ends = tuple(
             tuple(_segment_ends(shard, points)) for shard in shards
         )

@@ -8,8 +8,11 @@ covers the whole analogue chain from voltage in: besides the droop
 recurrence it serves sensor sampling, the per-register-jitter latch of
 :mod:`repro.core.waveform_bank` (ops ``sample_padded`` and
 ``sample_per_endpoint``), so ``pdn=numpy`` selects the numpy reference
-for both.  This module is the single place that decides which
-implementation of each kernel runs:
+for both.  Likewise the ``resample`` kernel serves the preprocessing
+chain: besides the polyphase resampler (op ``upfirdn``) it runs the
+correlation shift search of :mod:`repro.preprocess.align` (op
+``estimate_shifts``).  This module is the single place that decides
+which implementation of each kernel runs:
 
 * ``numpy`` — the reference fast path that exists today.  Always
   available, and the ground truth every other backend is asserted
@@ -41,9 +44,12 @@ Gaussian with numpy's own ziggurat, consuming the generator stream
 exactly as ``Generator.normal`` does; the CPA sums are float64 sums of
 integer-valued leakage/hypotheses, which are order-independent and
 therefore exact (the same property :meth:`StreamingCPA.merge` already
-relies on).  The test suite asserts exact equality across every
-available backend, and ``repro bench`` asserts it again before timing
-anything.
+relies on).  The native shift search cannot copy numpy's summation
+order, so it certifies each row's decision with a forward-error bound
+that holds for any order and hands every batch with an uncertified
+row to the numpy reference: its shifts are the reference's.  The test
+suite asserts exact equality across every available backend, and
+``repro bench`` asserts it again before timing anything.
 
 Dispatch happens at *call time* from module-level functions, so nothing
 unpicklable (numba dispatchers, ctypes handles) is ever stored on
@@ -156,7 +162,9 @@ def parse_spec(spec: Optional[str]) -> Dict[str, str]:
 
 #: ``(kernel, backend) -> {op_name: callable}``.  The ``numpy`` entries
 #: are registered by the domain modules that own them (``aes/batch``,
-#: ``attacks/models``, ``pdn/model``, ``attacks/cpa``) at import time,
+#: ``attacks/models``, ``pdn/model``, ``core/waveform_bank``,
+#: ``attacks/cpa``, ``preprocess/resample``, ``preprocess/align``) at
+#: import time,
 #: so the reference implementation and its registration can never
 #: drift apart.  ``native`` ops live on the lazily loaded provider
 #: instead (see :func:`dispatch`).
@@ -171,7 +179,7 @@ _DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "aes": ("repro.aes.batch", "repro.attacks.models"),
     "pdn": ("repro.pdn.model", "repro.core.waveform_bank"),
     "cpa": ("repro.attacks.cpa",),
-    "resample": ("repro.preprocess.resample",),
+    "resample": ("repro.preprocess.resample", "repro.preprocess.align"),
 }
 
 
@@ -385,8 +393,9 @@ def dispatch(kernel: str, op: str) -> Callable:
     time — campaign objects stay free of backend handles and therefore
     picklable.  A backend that lacks a specific op falls back down the
     ``native -> scipy -> numpy`` chain for that op (so e.g. a global
-    ``native`` selection still serves the resample kernel, which has
-    no native form, through its scipy implementation).
+    ``native`` selection serves the resample kernel's ``upfirdn``, which
+    has no native form, through its scipy implementation, and its
+    ``estimate_shifts``, which has no scipy form, natively).
     """
     _ensure_registered(kernel)
     backend = active_backends()[kernel]

@@ -33,6 +33,15 @@ sampler ops are absent — every other native op still loads, sampling
 falls back to numpy op by op, and :attr:`NativeProvider.sampler_reason`
 says why.  The numba provider has no sampler ops.
 
+The cc provider's ``resample`` op ``estimate_shifts`` (the correlation
+shift search) is the one op that does not repeat the reference's
+float64 operations: it certifies each row's decision with a
+forward-error bound that holds for any summation order, and returns
+the numpy reference's result for any batch holding a row it cannot
+certify (see the C source), so its shifts are still the reference's.
+:func:`alignment_counts` tallies how often that happens.  The numba
+provider has no such op.
+
 Nothing here is ever pickled: the registry dispatches to these ops at
 call time, so campaign objects carry no numba dispatchers or ctypes
 handles.  Forked pool workers inherit the loaded library; spawned ones
@@ -51,11 +60,17 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["NativeProvider", "load_native", "unavailable_reason"]
+__all__ = [
+    "NativeProvider",
+    "alignment_counts",
+    "load_native",
+    "unavailable_reason",
+]
 
 PROVIDER_ENV = "REPRO_NATIVE_PROVIDER"
 CACHE_ENV = "REPRO_KERNELS_CACHE"
@@ -658,6 +673,165 @@ long long repro_cpa_accumulate_i8(
     out[1] = sxx;
     return 0;
 }
+
+/* Correlation shift search (resample op estimate_shifts), certified.
+
+   This loop does not copy the reference's summation order (numpy's
+   pairwise sums, OpenBLAS's gemv): it bounds it.  For one candidate,
+   with x the trace span, y the reference span (n samples each) and a,
+   b their exactly centered forms, every float64 evaluation of the
+   reference's formula -- any summation order, with or without FMA --
+   lands within delta of the exact score a.b / (|a| |b|):
+
+     - the computed mean is off by at most e = gamma_n sum|x| / n (the
+       whole row's sum of |x| stands in for the span's), so the
+       computed centered vector is off by at most
+       (1 + u) sqrt(n) e + u |a| = rho |a|;
+     - normalizing turns that into 2 rho on the score (likewise for
+       b), and the dot product, sums of squares, product, sqrt and
+       divide add gamma_n + gamma_{n+3};
+     - |a| is bounded below from this evaluation's own sum of squares.
+
+   A row is certified when the first maximum w of these scores beats
+   every other candidate k by more than 2 (delta_w + delta_k): then
+   the reference's score for w is strictly above all of its others,
+   and the reference returns the same shift.  Values are kept below
+   2^400 and both norms above 2^-200, so nothing overflows and every
+   underflow error (at most 2^-1074 per operation) sits far below the
+   4u absolute slack; the 1.01 factor covers the rounding of the
+   bound's own arithmetic.  Rows with max == min take shift 0 without
+   scoring, exactly as the reference does.  Returns the number of
+   rows it could not certify (their shifts are left 0); the caller
+   then runs the reference on the whole batch.
+
+   work holds K (len + 4) doubles, K = 2 max_shift + 1. */
+#define ALIGN_U 0x1p-53
+#define ALIGN_MAX_ABS 0x1p400
+#define ALIGN_MIN_NORM 0x1p-200
+#define ALIGN_MAX_DENOM2 0x1p1000
+
+static double align_gamma(long long n)
+{
+    double nu = (double)n * ALIGN_U;
+    return nu / (1.0 - nu);
+}
+
+/* 0, -1, 1, -2, 2, ...: the reference's candidate order. */
+static long long align_shift(long long k)
+{
+    return (k & 1) ? -(k + 1) / 2 : k / 2;
+}
+
+/* rho for one centered span, from its sum of |values| and the
+   computed sum of squares of its centered values; -1 when the span
+   is too close to constant (or too small) to certify.  *norm_lo gets
+   a lower bound on the exactly centered span's norm. */
+static double align_rho(
+    long long n, double abs_sum, double sq_sum, double *norm_lo)
+{
+    double g = align_gamma(n);
+    double spread = (1.0 + ALIGN_U) * sqrt((double)n)
+                    * (1.01 * g * abs_sum / (double)n);
+    double lo = (sqrt(sq_sum / (1.0 + g)) - spread) / (1.0 + ALIGN_U);
+    double rho = spread / lo + ALIGN_U;
+    *norm_lo = lo;
+    if (!(lo >= ALIGN_MIN_NORM && rho <= 0.25))
+        return -1.0;
+    return rho;
+}
+
+long long repro_align_correlation(
+    const double *traces, long long num, long long len,
+    const double *ref, long long max_shift, double *work,
+    int64_t *shifts)
+{
+    long long K = 2 * max_shift + 1, uncertified = 0;
+    double *rc = work, *srr = rc + K * len, *rho_b = srr + K;
+    double *score = rho_b + K, *delta = score + K;
+    int ref_ok = 1;
+    for (long long j = 0; j < len; ++j)
+        ref_ok &= fabs(ref[j]) < ALIGN_MAX_ABS;
+    for (long long k = 0; k < K; ++k) {
+        long long s = align_shift(k), n = len - (s < 0 ? -s : s);
+        const double *y = ref + (s < 0 ? -s : 0);
+        double *r = rc + len * k, sum = 0.0, abs_sum = 0.0;
+        double q = 0.0, lo;
+        for (long long j = 0; j < n; ++j) {
+            sum += y[j];
+            abs_sum += fabs(y[j]);
+        }
+        double m = sum / (double)n;
+        for (long long j = 0; j < n; ++j) {
+            r[j] = y[j] - m;
+            q += r[j] * r[j];
+        }
+        srr[k] = q;
+        rho_b[k] = ref_ok ? align_rho(n, abs_sum, q, &lo) : -1.0;
+    }
+    for (long long i = 0; i < num; ++i) {
+        const double *x = traces + len * i;
+        double mx = x[0], mn = x[0], abs_sum = 0.0;
+        int ok = 1;
+        for (long long j = 0; j < len; ++j) {
+            double v = x[j];
+            ok &= fabs(v) < ALIGN_MAX_ABS;
+            mx = v > mx ? v : mx;
+            mn = v < mn ? v : mn;
+            abs_sum += fabs(v);
+        }
+        shifts[i] = 0;
+        if (ok && !(mx > mn))
+            continue;
+        long long best = 0;
+        for (long long k = 0; ok && k < K; ++k) {
+            long long s = align_shift(k), n = len - (s < 0 ? -s : s);
+            const double *t = x + (s > 0 ? s : 0), *r = rc + len * k;
+            /* Four accumulators: any order is covered by the bound. */
+            double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+            long long j = 0;
+            for (; j + 4 <= n; j += 4) {
+                s0 += t[j]; s1 += t[j + 1]; s2 += t[j + 2]; s3 += t[j + 3];
+            }
+            for (; j < n; ++j)
+                s0 += t[j];
+            double m = ((s0 + s1) + (s2 + s3)) / (double)n;
+            double q0 = 0, q1 = 0, q2 = 0, q3 = 0;
+            double p0 = 0, p1 = 0, p2 = 0, p3 = 0;
+            for (j = 0; j + 4 <= n; j += 4) {
+                double d0 = t[j] - m, d1 = t[j + 1] - m;
+                double d2 = t[j + 2] - m, d3 = t[j + 3] - m;
+                q0 += d0 * d0; q1 += d1 * d1; q2 += d2 * d2; q3 += d3 * d3;
+                p0 += d0 * r[j]; p1 += d1 * r[j + 1];
+                p2 += d2 * r[j + 2]; p3 += d3 * r[j + 3];
+            }
+            for (; j < n; ++j) {
+                double d = t[j] - m;
+                q0 += d * d;
+                p0 += d * r[j];
+            }
+            double q = (q0 + q1) + (q2 + q3), lo;
+            /* The whole row's sum of |x| bounds the span's. */
+            double rho = align_rho(n, abs_sum, q, &lo);
+            ok = rho >= 0.0 && rho_b[k] >= 0.0
+                 && q * srr[k] <= ALIGN_MAX_DENOM2;
+            score[k] = ((p0 + p1) + (p2 + p3)) / sqrt(q * srr[k]);
+            delta[k] = 1.01 * (2.0 * rho + 2.0 * rho_b[k]
+                               + align_gamma(n) + align_gamma(n + 3))
+                       + 4.0 * ALIGN_U;
+            if (score[k] > score[best])
+                best = k;
+        }
+        for (long long k = 0; ok && k < K; ++k)
+            if (k != best)
+                ok = score[best] - score[k] > 2.0 * (delta[best] + delta[k]);
+        if (!ok) {
+            ++uncertified;
+            continue;
+        }
+        shifts[i] = align_shift(best);
+    }
+    return uncertified;
+}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
@@ -1006,6 +1180,10 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib.repro_cpa_accumulate_f64.restype = ll
     lib.repro_cpa_accumulate_i8.argtypes = [f64p, i8p, ll, ll, f64p]
     lib.repro_cpa_accumulate_i8.restype = ll
+    lib.repro_align_correlation.argtypes = [
+        f64p, ll, ll, f64p, ll, f64p, i64p
+    ]
+    lib.repro_align_correlation.restype = ll
 
     sbox, inv_sbox, shift_src, g2, g3, pop = _tables()
 
@@ -1134,6 +1312,29 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
             out[2 + 2 * k:].copy(),
         )
 
+    def estimate_shifts(traces, reference, max_shift):
+        x = np.ascontiguousarray(traces, dtype=np.float64)
+        ref = np.ascontiguousarray(reference, dtype=np.float64)
+        num, length = x.shape
+        candidates = 2 * int(max_shift) + 1
+        work = np.empty(candidates * (length + 4), dtype=np.float64)
+        shifts = np.empty(num, dtype=np.int64)
+        uncertified = lib.repro_align_correlation(
+            ptr(x, ctypes.c_double), num, length, ptr(ref, ctypes.c_double),
+            int(max_shift), ptr(work, ctypes.c_double),
+            ptr(shifts, ctypes.c_int64),
+        )
+        _count_alignment(num, uncertified)
+        if uncertified:
+            # The reference itself, on the caller's own arrays: exact by
+            # construction, whatever layout its reductions depend on.
+            from repro.preprocess.align import (  # noqa: PLC0415 — cycle
+                correlation_shifts,
+            )
+
+            return correlation_shifts(traces, reference, max_shift)
+        return shifts
+
     return {
         ("aes", "round_states"): round_states,
         ("aes", "cycle_hd_from_states"): cycle_hd_from_states,
@@ -1144,7 +1345,29 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         ("pdn", "integrate"): integrate,
         ("pdn", "integrate_batch"): integrate_batch,
         ("cpa", "accumulate"): accumulate,
+        ("resample", "estimate_shifts"): estimate_shifts,
     }
+
+
+_ALIGN_LOCK = threading.Lock()
+_ALIGN_COUNTS = dict.fromkeys(("rows", "fallback_rows"), 0)
+
+
+def _count_alignment(rows: int, uncertified: int) -> None:
+    with _ALIGN_LOCK:
+        _ALIGN_COUNTS["rows"] += rows
+        _ALIGN_COUNTS["fallback_rows"] += uncertified
+
+
+def alignment_counts() -> Dict[str, int]:
+    """Process-wide tally of the native correlation shift search.
+
+    ``rows`` it was called on; ``fallback_rows`` are the rows whose
+    decision it could not certify (their batches ran on the numpy
+    reference instead).
+    """
+    with _ALIGN_LOCK:
+        return dict(_ALIGN_COUNTS)
 
 
 class SamplerUnavailable(Exception):

@@ -111,6 +111,45 @@ class TestRecoverLastRoundKey:
         for a, b in zip(serial.byte_results, process.byte_results):
             assert np.array_equal(a.correlations, b.correlations)
 
+    def test_per_segment_hypotheses_match_whole_block_cpa(
+        self, campaign_data, monkeypatch
+    ):
+        # Hypotheses are gathered one checkpoint segment at a time; on
+        # continuous leakage (order-sensitive float sums) every byte's
+        # CPAResult must still equal run_cpa over the whole block.
+        from repro.attacks import full_key
+        from repro.attacks.cpa import run_cpa
+        from repro.attacks.models import single_bit_hypothesis
+
+        cipher, cts, leakage = campaign_data
+        rows = []
+        segments = full_key.run_cpa_segments
+
+        def counting(leakage, hypothesis_block, *args, **kwargs):
+            def block(start, stop):
+                rows.append(stop - start)
+                return hypothesis_block(start, stop)
+
+            return segments(leakage, block, *args, **kwargs)
+
+        monkeypatch.setattr(full_key, "run_cpa_segments", counting)
+        checkpoints = [500, 9000, 27_000]
+        result = recover_last_round_key(
+            leakage, cts, correct_key=cipher.last_round_key,
+            checkpoints=checkpoints,
+        )
+        assert max(rows) == 27_000 - 9000
+        assert sum(rows) == 16 * 40_000
+        for index, got in enumerate(result.byte_results):
+            expected = run_cpa(
+                leakage[:, column_of_key_byte(index)],
+                single_bit_hypothesis(cts[:, index]),
+                checkpoints=checkpoints,
+                correct_key=cipher.last_round_key[index],
+            )
+            assert np.array_equal(got.checkpoints, expected.checkpoints)
+            assert np.array_equal(got.correlations, expected.correlations)
+
     def test_result_metrics(self, campaign_data):
         cipher, cts, leakage = campaign_data
         result = recover_last_round_key(

@@ -480,4 +480,10 @@ class TestAcquisitionFlags:
         record = json.loads(path.read_text())
         assert record["identity"]["workers_1_vs_2_bit_identical"]
         assert record["alignment"]["traces_per_s"] > 10_000
+        backends = record["alignment_backends"]
+        assert backends["numpy_traces_per_s"] > 0
+        if backends.get("native", True) is not None:
+            assert backends["identical"] is True
+            assert backends["fallback_rows"] == 0
+            assert backends["certified_rows"] == backends["traces"]
         assert record["recovery_frontier"] is not None

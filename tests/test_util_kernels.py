@@ -714,6 +714,37 @@ class TestSamplerRouting:
         assert "sampler" not in kernels.describe()
 
 
+class TestShiftSearchRouting:
+    """The correlation shift search rides on the ``resample`` kernel."""
+
+    @pytest.mark.parametrize(
+        "spec", ["numpy", "resample=numpy", "resample=scipy"]
+    )
+    def test_reference_specs_select_numpy_op(self, spec):
+        from repro.preprocess.align import correlation_shifts
+
+        with kernels.use(spec):
+            op = kernels.dispatch("resample", "estimate_shifts")
+        assert op is correlation_shifts
+
+    @needs_native
+    def test_native_selects_c_op(self):
+        from repro.preprocess.align import correlation_shifts
+
+        provider = kernels_native.load_native()
+        with kernels.use("native"):
+            op = kernels.dispatch("resample", "estimate_shifts")
+        assert op is provider.ops.get(
+            ("resample", "estimate_shifts"), correlation_shifts
+        )
+
+    def test_metadata_keys_unchanged(self):
+        assert kernels.KERNEL_NAMES == ("aes", "pdn", "cpa", "resample")
+        assert set(kernels.backend_metadata()["kernel_backends"]) == set(
+            kernels.KERNEL_NAMES
+        )
+
+
 @pytest.fixture
 def cc_provider(monkeypatch):
     """Force the cc provider, re-probed, and restore the probe after."""
