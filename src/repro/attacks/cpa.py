@@ -10,12 +10,25 @@ measurements-to-disclosure metric.
 The implementation streams over trace blocks and keeps only running
 sums (O(256) state), so half-million-trace campaigns fit comfortably in
 memory regardless of checkpoint density.
+
+A last-round hypothesis row depends only on the trace's ciphertext
+byte, so a block can also arrive as one (C, K) table plus a class
+(ciphertext byte) per trace: ``update(x, table, classes=c)`` means
+``update(x, table[c])``.  It is computed without the (B, K) gather:
+per-class trace counts and leakage sums (two ``np.bincount`` passes)
+contracted against the table, ``counts @ t``, ``counts @ t**2`` and
+``sums @ t``.  That route is taken only when a check proves every
+partial sum an integer below 2^53 -- finite, integer-valued leakage
+and table, with ``sum x**2`` and ``B * max t**2`` under 2^53, which
+also bounds ``sum|x| * max|t|`` -- so it equals the gathered block's
+sums in any summation order.  Any other block is gathered and
+accumulated as before, so results are bit-identical on every route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +58,94 @@ def _accumulate_numpy(x: np.ndarray, h: np.ndarray):
 
 
 kernels.register_backend("cpa", "numpy", accumulate=_accumulate_numpy)
+
+#: Integers of magnitude below this are exact in float64, and so is
+#: every sum of them whose partial sums stay below it.
+_EXACT_LIMIT = 2.0 ** 53
+
+
+class ClassTable:
+    """A (C, K) hypothesis table prepared for class-routed updates.
+
+    Row ``c`` holds the K hypotheses of every trace of class ``c``
+    (for the last-round models: ciphertext byte ``c``).  The float64
+    copy, its squares and the exactness facts :meth:`StreamingCPA.update`
+    checks are computed once here, so a task that feeds many segments
+    pays for them once.  ``table`` keeps the caller's array (and dtype)
+    for the gathered fallback.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = np.asarray(table)
+        if self.table.ndim != 2:
+            raise ValueError(
+                "hypothesis table must be 2-D (classes, candidates), got "
+                "shape %r" % (self.table.shape,)
+            )
+        self.num_classes, self.num_candidates = self.table.shape
+        self.values = self.table.astype(np.float64)
+        self.squares = self.values * self.values
+        if np.array_equal(self.squares, self.values):
+            # A 0/1 table (the single-bit model) is its own square:
+            # sharing the array lets an update skip one contraction.
+            self.squares = self.values
+        #: Finite and integer-valued: the precondition of the class route.
+        self.exact = bool(
+            np.isfinite(self.values).all()
+            and (np.rint(self.values) == self.values).all()
+        )
+        bounded = self.exact and self.values.size > 0
+        self.max_square = float(self.squares.max()) if bounded else 0.0
+
+    @classmethod
+    def of(cls, table: Union[np.ndarray, "ClassTable"]) -> "ClassTable":
+        """``table`` itself when already prepared, else a new one."""
+        return table if isinstance(table, cls) else cls(table)
+
+
+def _class_sums(x: np.ndarray, classes: np.ndarray, table: ClassTable):
+    """The accumulate op's five block sums, folded per class.
+
+    Returns None unless every partial sum is provably an integer below
+    2^53 (then each sum is exact, hence equal to the gathered block's
+    in any summation order).  The table and the leakage must be finite
+    and integer-valued, and ``sum x**2`` and ``B * max t**2`` below
+    2^53.  For integers these bound every partial sum: ``sum|x| <=
+    sum x**2`` (``x.sum()`` and the class sums), ``B * max|t| <= B *
+    max t**2`` (``counts @ t`` and ``counts @ t**2``), and ``sum|x| *
+    max|t| <= sqrt(sum x**2 * B * max t**2)`` (``sums @ t``).  Both
+    bounds are computed from non-negative terms, and every rounding
+    step (with or without FMA) is monotone, so a computed value below
+    2^53 proves the exact one is.  NaN or inf in the leakage fails the
+    first bound, so non-finite blocks fall back too.
+    """
+    if not table.exact:
+        return None
+    sum_xx = np.dot(x, x)
+    if not (
+        sum_xx < _EXACT_LIMIT
+        and x.shape[0] * table.max_square < _EXACT_LIMIT
+    ):
+        return None
+    if not (np.rint(x) == x).all():
+        return None
+    width = table.num_classes
+    classes = classes.astype(np.intp, copy=False)
+    folds = np.array(
+        (
+            np.bincount(classes, minlength=width),
+            np.bincount(classes, weights=x, minlength=width),
+        ),
+        dtype=np.float64,
+    )
+    # Exact sums make stacking the two contractions (one pass over the
+    # table) and reusing a 0/1 table's own contraction bit-neutral.
+    sum_h, sum_xh = folds @ table.values
+    if table.squares is table.values:
+        sum_hh = sum_h
+    else:
+        sum_hh = folds[0] @ table.squares
+    return folds[1].sum(), sum_xx, sum_h, sum_hh, sum_xh
 
 
 class NonFiniteValuesError(ReproError):
@@ -174,9 +275,10 @@ def default_checkpoints(num_traces: int, count: int = 60) -> np.ndarray:
 class StreamingCPA:
     """Accumulates CPA statistics over trace blocks.
 
-    Usage: feed ``(leakage_block, hypothesis_block)`` pairs via
-    :meth:`update`, call :meth:`correlations` whenever a checkpoint is
-    reached.  :func:`run_cpa` wraps the common in-memory case.
+    Usage: feed ``(leakage_block, hypothesis_block)`` pairs, or
+    ``(leakage_block, table)`` with ``classes=``, via :meth:`update`,
+    call :meth:`correlations` whenever a checkpoint is reached.
+    :func:`run_cpa` wraps the common in-memory case.
     """
 
     def __init__(self, num_candidates: int = 256):
@@ -188,15 +290,69 @@ class StreamingCPA:
         self._sum_hh = np.zeros(num_candidates)
         self._sum_xh = np.zeros(num_candidates)
 
-    def update(self, leakage: np.ndarray, hypotheses: np.ndarray) -> None:
+    def update(
+        self,
+        leakage: np.ndarray,
+        hypotheses: Union[np.ndarray, ClassTable],
+        classes: Optional[np.ndarray] = None,
+    ) -> None:
         """Add a block of traces.
 
         Args:
             leakage: (B,) measured leakage values.
-            hypotheses: (B, num_candidates) hypothesis values.
+            hypotheses: (B, num_candidates) hypothesis values; with
+                ``classes``, a (C, num_candidates) table (array or
+                :class:`ClassTable`) whose row ``classes[i]`` is trace
+                ``i``'s hypotheses.
+            classes: optional (B,) integer classes in ``[0, C)``.
+                ``update(x, table, classes=c)`` is defined as
+                ``update(x, table[c])`` and leaves bit-identical state:
+                a block that passes the exactness check of the module
+                docstring is folded per class without gathering, any
+                other block is gathered and accumulated as usual (so
+                non-finite values raise the same error).
         """
         x = np.asarray(leakage, dtype=np.float64)
-        h = np.asarray(hypotheses)
+        sums = None
+        if classes is not None:
+            table = ClassTable.of(hypotheses)
+            c = np.asarray(classes)
+            if x.ndim != 1 or c.shape != x.shape:
+                raise ValueError(
+                    "shape mismatch: leakage %r vs classes %r"
+                    % (x.shape, c.shape)
+                )
+            if table.num_candidates != self.num_candidates:
+                raise ValueError(
+                    "hypothesis table has %d candidates, accumulator %d"
+                    % (table.num_candidates, self.num_candidates)
+                )
+            if c.dtype.kind not in "iu":
+                raise ValueError(
+                    "classes must be integers, got dtype %s" % c.dtype
+                )
+            if c.size and (
+                c.min() < 0 or c.max() >= table.num_classes
+            ):
+                raise ValueError(
+                    "classes must lie in [0, %d), got values in [%d, %d]"
+                    % (table.num_classes, c.min(), c.max())
+                )
+            sums = _class_sums(x, c, table)
+            if sums is None:
+                hypotheses = table.table[c]
+        if sums is None:
+            sums = self._block_sums(x, np.asarray(hypotheses))
+        sum_x, sum_xx, sum_h, sum_hh, sum_xh = sums
+        self.count += x.shape[0]
+        self._sum_x += sum_x
+        self._sum_xx += sum_xx
+        self._sum_h += sum_h
+        self._sum_hh += sum_hh
+        self._sum_xh += sum_xh
+
+    def _block_sums(self, x: np.ndarray, h: np.ndarray):
+        """The accumulate op's sums for a (B, K) block, or raise."""
         if x.ndim != 1 or h.shape != (x.shape[0], self.num_candidates):
             raise ValueError(
                 "shape mismatch: leakage %r vs hypotheses %r"
@@ -223,13 +379,7 @@ class StreamingCPA:
             raise NonFiniteValuesError(
                 "hypotheses", self.count + np.flatnonzero(~finite_h)
             )
-        sum_x, sum_xx, sum_h, sum_hh, sum_xh = sums
-        self.count += x.shape[0]
-        self._sum_x += sum_x
-        self._sum_xx += sum_xx
-        self._sum_h += sum_h
-        self._sum_hh += sum_hh
-        self._sum_xh += sum_xh
+        return sums
 
     def merge(self, other: "StreamingCPA") -> "StreamingCPA":
         """Fold another accumulator's traces into this one (in place).
@@ -341,9 +491,10 @@ def normalize_checkpoints(
 
 def run_cpa(
     leakage: np.ndarray,
-    hypotheses: np.ndarray,
+    hypotheses: Union[np.ndarray, ClassTable],
     checkpoints: Optional[Sequence[int]] = None,
     correct_key: Optional[int] = None,
+    classes: Optional[np.ndarray] = None,
 ) -> CPAResult:
     """Full CPA with progress over trace count.
 
@@ -351,52 +502,45 @@ def run_cpa(
         leakage: (N,) measured leakage (Hamming weight of sensor bits,
             a single sensor bit, a TDC readout, ...).
         hypotheses: (N, 256) hypothesis matrix from
-            :mod:`repro.attacks.models`.
+            :mod:`repro.attacks.models`; with ``classes``, a (C, 256)
+            table (e.g. :func:`repro.attacks.models.single_bit_table`).
         checkpoints: trace counts at which to record correlations;
             normalized by :func:`normalize_checkpoints`.
         correct_key: true key byte for rank/MTD metrics.
+        classes: optional (N,) per-trace table rows (ciphertext
+            bytes); ``run_cpa(x, table, classes=c)`` is bit-identical
+            to ``run_cpa(x, table[c])`` but never builds the (N, 256)
+            block (see :meth:`StreamingCPA.update`).
 
     Returns:
         :class:`CPAResult` with one correlation row per checkpoint.
     """
     x = np.asarray(leakage, dtype=np.float64)
-    h = np.asarray(hypotheses)
     if x.ndim != 1:
         raise ValueError("leakage must be 1-D")
-    if h.ndim != 2 or h.shape[0] != x.shape[0]:
-        raise ValueError("hypotheses must be (N, num_candidates)")
-    return run_cpa_segments(
-        x,
-        lambda start, stop: h[start:stop],
-        h.shape[1],
-        checkpoints=checkpoints,
-        correct_key=correct_key,
-    )
-
-
-def run_cpa_segments(
-    leakage: np.ndarray,
-    hypothesis_block: Callable[[int, int], np.ndarray],
-    num_candidates: int,
-    checkpoints: Optional[Sequence[int]] = None,
-    correct_key: Optional[int] = None,
-) -> CPAResult:
-    """:func:`run_cpa` with hypotheses built one checkpoint segment at a
-    time: ``hypothesis_block(start, stop)`` returns the
-    ``(stop - start, num_candidates)`` rows for traces
-    ``start:stop``, so no whole-campaign hypothesis matrix is ever
-    held.  The engine sees the same blocks as :func:`run_cpa`, so the
-    result is bit-identical.
-    """
-    x = np.asarray(leakage, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("leakage must be 1-D")
+    if classes is None:
+        h = np.asarray(hypotheses)
+        if h.ndim != 2 or h.shape[0] != x.shape[0]:
+            raise ValueError("hypotheses must be (N, num_candidates)")
+        num_candidates = h.shape[1]
+    else:
+        table = ClassTable.of(hypotheses)
+        c = np.asarray(classes)
+        # Checked whole, not only per segment: a longer ``classes``
+        # would pass every segment's shape check.
+        if c.shape != x.shape:
+            raise ValueError("classes must be (N,), one per trace")
+        num_candidates = table.num_candidates
     points = normalize_checkpoints(checkpoints, x.shape[0])
     engine = StreamingCPA(num_candidates=num_candidates)
     rows: List[np.ndarray] = []
     previous = 0
     for point in points.tolist():
-        engine.update(x[previous:point], hypothesis_block(previous, point))
+        segment = slice(previous, point)
+        if classes is None:
+            engine.update(x[segment], h[segment])
+        else:
+            engine.update(x[segment], table, classes=c[segment])
         rows.append(engine.correlations())
         previous = point
     return CPAResult(

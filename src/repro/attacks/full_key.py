@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.aes.aes128 import invert_key_schedule
 from repro.aes.leakage import SHIFT_ROWS_SOURCE
-from repro.attacks.cpa import CPAResult, run_cpa_segments
-from repro.attacks.models import single_bit_hypothesis
+from repro.attacks.cpa import CPAResult, run_cpa
+from repro.attacks.models import single_bit_table
 from repro.util.executors import CampaignHealth, RetryPolicy, map_ordered
 from repro.util.shm import ArrayFanout, fanout_state
 
@@ -119,19 +119,14 @@ def _attack_byte_task(task: Dict[str, object]) -> CPAResult:
     ct_byte = state.array("ciphertexts")[:, byte_index]
     correct_key = state.heavy["correct_key"]
     # A hypothesis row depends only on the ciphertext byte, so one
-    # (256, 256) table serves every trace.  Gathering it per checkpoint
-    # segment keeps a whole-campaign (N, 256) block per concurrent byte
-    # from dominating peak memory, and costs one call, not one per
-    # segment.
-    table = single_bit_hypothesis(
-        np.arange(256, dtype=np.uint8), bit=state.heavy["target_bit"]
-    )
-    return run_cpa_segments(
+    # (256, 256) table plus the bytes as classes stands in for the
+    # (N, 256) block (see StreamingCPA.update).
+    return run_cpa(
         leakage[:, column_of_key_byte(byte_index)],
-        lambda start, stop: table[ct_byte[start:stop]],
-        256,
+        single_bit_table(state.heavy["target_bit"]),
         checkpoints=state.heavy["checkpoints"],
         correct_key=None if correct_key is None else correct_key[byte_index],
+        classes=ct_byte,
     )
 
 

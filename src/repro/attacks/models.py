@@ -80,6 +80,18 @@ def single_bit_hypothesis(
     return kernels.dispatch("aes", "single_bit_hypothesis")(arr, bit)
 
 
+def single_bit_table(bit: int = DEFAULT_TARGET_BIT) -> np.ndarray:
+    """The single-bit model as a (256, 256) table over ciphertext bytes.
+
+    Row ``c`` holds the hypotheses of every trace whose ciphertext byte
+    is ``c``: ``single_bit_table(bit)[ct_bytes]`` equals
+    ``single_bit_hypothesis(ct_bytes, bit)``.  CPA drivers pass it with
+    ``classes=ct_bytes`` (:func:`repro.attacks.cpa.run_cpa`) instead of
+    building the (N, 256) block.
+    """
+    return single_bit_hypothesis(np.arange(256, dtype=np.uint8), bit=bit)
+
+
 def hamming_weight_hypothesis(ct_bytes: np.ndarray) -> np.ndarray:
     """Hamming weight of the state byte before the final SBox."""
     arr = _validate_ct_bytes(ct_bytes)

@@ -27,11 +27,11 @@ import numpy as np
 
 from repro.aes.aes128 import AES128
 from repro.aes.leakage import LeakageModel, random_ciphertexts
-from repro.attacks.cpa import CPAResult, run_cpa
+from repro.attacks.cpa import ClassTable, CPAResult, run_cpa
 from repro.attacks.models import (
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
-    single_bit_hypothesis,
+    single_bit_table,
 )
 from repro.core.endpoint_sensor import BenignSensor
 from repro.core.postprocess import (
@@ -412,9 +412,7 @@ class AttackCampaign:
             self.cipher.last_round_key,
             seed=derive_seed(self.seed, "campaign-noise"),
         )
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
+        table = ClassTable(single_bit_table(target_bit))
         scores: Dict[int, float] = {}
         columns = {int(b): np.empty(trial_traces) for b in order}
         chunk = 50_000
@@ -429,8 +427,9 @@ class AttackCampaign:
         for b in order:
             result = run_cpa(
                 columns[int(b)],
-                hypotheses,
+                table,
                 checkpoints=[trial_traces],
+                classes=ciphertexts[:, target_byte],
             )
             final = np.abs(result.correlations[-1])
             top_two = np.partition(final, -2)[-2:]
@@ -453,14 +452,12 @@ class AttackCampaign:
         rank and measurements-to-disclosure metrics are available.
         """
         data = self.collect_reduced_traces(num_traces, reduction, bit)
-        hypotheses = single_bit_hypothesis(
-            data["ciphertexts"][:, target_byte], bit=target_bit
-        )
         return run_cpa(
             data["leakage"],
-            hypotheses,
+            single_bit_table(target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
+            classes=data["ciphertexts"][:, target_byte],
         )
 
     def column_leakage_block(
@@ -573,14 +570,12 @@ class AttackCampaign:
             leakage = sensor.single_bit(
                 voltages, bit=bit, seed=derive_seed(self.seed, "tdc")
             ).astype(np.float64)
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
         return run_cpa(
             leakage,
-            hypotheses,
+            single_bit_table(target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
+            classes=ciphertexts[:, target_byte],
         )
 
     def attack_with_ro_counter(
@@ -620,12 +615,10 @@ class AttackCampaign:
         leakage = sensor.sample_scalar(
             averaged, seed=derive_seed(self.seed, "ro-counter")
         ).astype(np.float64)
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
         return run_cpa(
             leakage,
-            hypotheses,
+            single_bit_table(target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
+            classes=ciphertexts[:, target_byte],
         )

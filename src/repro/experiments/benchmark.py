@@ -57,7 +57,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.attacks.cpa import run_cpa
-from repro.attacks.models import single_bit_hypothesis
+from repro.attacks.models import single_bit_table
 from repro.core.attack import (
     DEFAULT_TARGET_BYTE,
     REDUCTION_HW,
@@ -368,10 +368,11 @@ def run_sampling_benchmark(
         data = campaign.collect_reduced_traces(
             campaign_traces, REDUCTION_HW, chunk_size=chunk
         )
-        hypotheses = single_bit_hypothesis(
-            data["ciphertexts"][:, DEFAULT_TARGET_BYTE]
+        return run_cpa(
+            data["leakage"],
+            single_bit_table(),
+            classes=data["ciphertexts"][:, DEFAULT_TARGET_BYTE],
         )
-        return run_cpa(data["leakage"], hypotheses)
 
     def sharded_run():
         return sharded_attack(

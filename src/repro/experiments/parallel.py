@@ -18,11 +18,17 @@ Determinism is preserved by construction:
 * leakage and hypothesis values are integer-valued, so the running
   sums are float-exact and merging is order-independent: the sharded
   result is bit-identical to :func:`repro.attacks.cpa.run_cpa`.
+  Shard tasks pass one (256, 256) single-bit table with the
+  ciphertext bytes as classes, so no (N, 256) hypothesis block is
+  built: :meth:`~repro.attacks.cpa.StreamingCPA.update` folds each
+  segment per ciphertext byte when a check proves the sums exact
+  (integer-valued leakage, ``sum x**2`` and ``B * max t**2`` below
+  2^53) and gathers the table rows otherwise, with the same result.
 
 Workers run on either backend of
 :func:`repro.util.executors.map_ordered`: the default thread pool (the
-heavy kernels — waveform-bank sampling, hypothesis table lookups, the
-accumulator GEMV — are numpy calls that release the GIL for most of
+heavy kernels — waveform-bank sampling, the accumulator's table
+contractions — are numpy calls that release the GIL for most of
 their runtime) or, with ``executor="process"``, a process pool whose
 shard tasks are module-level functions with picklable payloads,
 buying real multi-core scaling for the Python-bound stages.  Both
@@ -52,6 +58,7 @@ import numpy as np
 
 from repro.aes.leakage import random_ciphertexts
 from repro.attacks.cpa import (
+    ClassTable,
     CPAResult,
     StreamingCPA,
     normalize_checkpoints,
@@ -64,7 +71,7 @@ from repro.attacks.full_key import (
 from repro.attacks.models import (
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
-    single_bit_hypothesis,
+    single_bit_table,
 )
 from repro.core.attack import (
     REDUCTION_HW,
@@ -247,18 +254,35 @@ def _attack_shard_task(
             )
         )
     leakage = poison_leakage(leakage)
-    hypotheses = single_bit_hypothesis(
+    return _segment_partials(
+        leakage,
         ct_bytes[shard.start : shard.end],
-        bit=state.heavy["target_bit"],
+        state.heavy["target_bit"],
+        shard,
+        segment_ends,
     )
+
+
+def _segment_partials(
+    leakage: np.ndarray,
+    ct_bytes: np.ndarray,
+    target_bit: int,
+    shard: Shard,
+    segment_ends: List[int],
+) -> List[Tuple[int, StreamingCPA]]:
+    """One :class:`StreamingCPA` partial per shard segment.
+
+    The hypotheses arrive as one prepared (256, 256) single-bit table
+    with the ciphertext bytes as classes, so no (N, 256) block is
+    built or gathered (see :meth:`StreamingCPA.update`).
+    """
+    table = ClassTable(single_bit_table(target_bit))
     partials: List[Tuple[int, StreamingCPA]] = []
     previous = shard.start
     for segment_end in segment_ends:
-        engine = StreamingCPA(num_candidates=hypotheses.shape[1])
-        engine.update(
-            leakage[previous - shard.start : segment_end - shard.start],
-            hypotheses[previous - shard.start : segment_end - shard.start],
-        )
+        segment = slice(previous - shard.start, segment_end - shard.start)
+        engine = StreamingCPA(num_candidates=table.num_candidates)
+        engine.update(leakage[segment], table, classes=ct_bytes[segment])
         partials.append((segment_end, engine))
         previous = segment_end
     return partials
@@ -599,20 +623,9 @@ def _physical_shard_task(
             leakage[local] = total
         ct_bytes[local] = data["ciphertexts"][:, state.heavy["target_byte"]]
     leakage = poison_leakage(leakage)
-    hypotheses = single_bit_hypothesis(
-        ct_bytes, bit=state.heavy["target_bit"]
+    return _segment_partials(
+        leakage, ct_bytes, state.heavy["target_bit"], shard, segment_ends
     )
-    partials: List[Tuple[int, StreamingCPA]] = []
-    previous = shard.start
-    for segment_end in segment_ends:
-        engine = StreamingCPA(num_candidates=hypotheses.shape[1])
-        engine.update(
-            leakage[previous - shard.start : segment_end - shard.start],
-            hypotheses[previous - shard.start : segment_end - shard.start],
-        )
-        partials.append((segment_end, engine))
-        previous = segment_end
-    return partials
 
 
 def sharded_physical_attack(

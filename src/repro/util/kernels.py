@@ -44,10 +44,17 @@ Gaussian with numpy's own ziggurat, consuming the generator stream
 exactly as ``Generator.normal`` does; the CPA sums are float64 sums of
 integer-valued leakage/hypotheses, which are order-independent and
 therefore exact (the same property :meth:`StreamingCPA.merge` already
-relies on).  The native shift search cannot copy numpy's summation
-order, so it certifies each row's decision with a forward-error bound
-that holds for any order and hands every batch with an uncertified
-row to the numpy reference: its shifts are the reference's.  The test
+relies on).  The campaign drivers mostly skip this op:
+``StreamingCPA.update(x, table, classes=c)`` folds a block per class
+and contracts it against the (C, K) table, and takes that route only
+when a check in code proves every partial sum an integer below 2^53
+(finite, integer-valued leakage and table, ``sum x**2`` and
+``B * max t**2`` below 2^53); any other block is gathered and handed
+to this op, so the sums are the same bits on either route.  The
+native shift search cannot copy numpy's summation order, so it
+certifies each row's decision with a forward-error bound that holds
+for any order and hands every batch with an uncertified row to the
+numpy reference: its shifts are the reference's.  The test
 suite asserts exact equality across every available backend, and
 ``repro bench`` asserts it again before timing anything.
 

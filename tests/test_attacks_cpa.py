@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.aes import AES128, last_round_activity, random_ciphertexts
 from repro.attacks import (
+    NonFiniteValuesError,
     StreamingCPA,
     default_checkpoints,
     run_cpa,
     single_bit_hypothesis,
 )
+from repro.attacks.cpa import ClassTable, _class_sums
+from repro.attacks.models import single_bit_table
 
 
 def synthetic_campaign(num_traces=30_000, noise=4.0, seed=0):
@@ -281,3 +286,194 @@ class TestStateRoundtrip:
         state = engine.state_arrays()
         state["sum_h"][:] = -99.0
         assert (engine._sum_h != -99.0).all()
+
+
+def _outcome(x, table, classes, prior, routed):
+    """The state one update leaves (after an optional gathered prior
+    block), or the error it raises, as comparable values."""
+    engine = StreamingCPA(num_candidates=table.shape[1])
+    try:
+        if prior is not None:
+            engine.update(prior[0], table[prior[1]])
+        if routed:
+            engine.update(x, table, classes=classes)
+        else:
+            engine.update(x, table[classes])
+    except NonFiniteValuesError as error:
+        return ("error", error.which, error.indices.tolist())
+    return {
+        name: np.asarray(value).tobytes()
+        for name, value in engine.state_arrays().items()
+    }
+
+
+_LEAKAGE = {
+    "integer": st.integers(0, 200).map(float),
+    "negative": st.integers(-(2 ** 20), 2 ** 20).map(float),
+    "continuous": st.floats(-1e3, 1e3, allow_nan=False),
+    "huge": st.integers(2 ** 25, 2 ** 40).map(float),
+}
+
+
+@st.composite
+def class_blocks(draw, non_finite=False, exact=False):
+    num_classes = draw(st.integers(1, 256))
+    num_candidates = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 48))
+    integer_table = st.integers(-(2 ** 12), 2 ** 12).map(float)
+    if draw(st.booleans()):
+        table = draw(hnp.arrays(np.int8, (num_classes, num_candidates)))
+    else:
+        table = draw(hnp.arrays(
+            np.float64, (num_classes, num_candidates),
+            elements=integer_table if exact else st.one_of(
+                integer_table, st.floats(-8, 8, allow_nan=False)
+            ),
+        ))
+    kinds = ["integer", "negative"] if exact else sorted(_LEAKAGE)
+    x = draw(hnp.arrays(
+        np.float64, n, elements=_LEAKAGE[draw(st.sampled_from(kinds))]
+    ))
+    classes = draw(hnp.arrays(
+        draw(st.sampled_from([np.uint8, np.int64])), n,
+        elements=st.integers(0, min(num_classes, 256) - 1),
+    ))
+    prior = None
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 16))
+        rows = st.integers(0, num_classes - 1)
+        prior = (
+            draw(hnp.arrays(np.float64, m, elements=_LEAKAGE["integer"])),
+            draw(hnp.arrays(np.int64, m, elements=rows)),
+        )
+    if non_finite:
+        bad = st.sampled_from([np.nan, np.inf, -np.inf])
+        table = table.astype(np.float64)
+        for _ in range(draw(st.integers(1, 3))):
+            if n and draw(st.booleans()):
+                x[draw(st.integers(0, n - 1))] = draw(bad)
+            else:
+                cell = (
+                    draw(st.integers(0, num_classes - 1)),
+                    draw(st.integers(0, num_candidates - 1)),
+                )
+                table[cell] = draw(bad)
+    return x, table, classes, prior
+
+
+class TestClassRoute:
+    """``update(x, t, classes=c)`` is ``update(x, t[c])``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_blocks())
+    def test_matches_gathered_update(self, block):
+        assert _outcome(*block, routed=True) == _outcome(
+            *block, routed=False
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_blocks(exact=True))
+    def test_exact_blocks_take_the_class_route(self, block):
+        # Integer leakage and tables well inside the 2^53 budget must
+        # be folded per class, so the property above tests that route
+        # and not only the gathered fallback.
+        x, table, classes, _ = block
+        assert _class_sums(x, classes, ClassTable(table)) is not None
+        assert _outcome(*block, routed=True) == _outcome(
+            *block, routed=False
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_blocks(non_finite=True))
+    def test_non_finite_raises_like_gathered_update(self, block):
+        # A NaN/inf in a table row no trace selects raises nothing on
+        # either form; anything else names the same traces.
+        assert _outcome(*block, routed=True) == _outcome(
+            *block, routed=False
+        )
+
+    def test_non_finite_names_offending_traces(self):
+        table = np.zeros((4, 3))
+        table[2, 1] = np.nan
+        engine = StreamingCPA(num_candidates=3)
+        engine.update(np.ones(5), table, classes=np.zeros(5, np.uint8))
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            engine.update(
+                np.ones(4), table, classes=np.array([0, 2, 1, 2])
+            )
+        assert excinfo.value.which == "hypotheses"
+        assert excinfo.value.indices.tolist() == [6, 8]
+        x = np.ones(4)
+        x[3] = np.inf
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            engine.update(x, table, classes=np.zeros(4, np.int64))
+        assert excinfo.value.which == "leakage"
+        assert excinfo.value.indices.tolist() == [8]
+        assert engine.count == 5
+
+    @pytest.mark.parametrize(
+        "classes",
+        [np.array([0, 4, 1]), np.array([0, -1, 1]), np.array([0.0, 1, 2])],
+    )
+    def test_bad_classes_rejected_on_one_line(self, classes):
+        engine = StreamingCPA(num_candidates=2)
+        with pytest.raises(ValueError) as excinfo:
+            engine.update(np.ones(3), np.ones((4, 2)), classes=classes)
+        assert "\n" not in str(excinfo.value)
+        assert "classes" in str(excinfo.value)
+        assert engine.count == 0
+
+    @pytest.mark.parametrize(
+        "table, num_classes",
+        [((4, 2), 2), ((4, 3), 3), ((4,), 3)],
+    )
+    def test_shape_mismatches_rejected(self, table, num_classes):
+        engine = StreamingCPA(num_candidates=2)
+        with pytest.raises(ValueError):
+            engine.update(
+                np.ones(3), np.ones(table), classes=np.zeros(num_classes, int)
+            )
+
+    def test_exactness_budget_picks_the_route(self):
+        classes = np.zeros(2, np.intp)
+        ones = ClassTable(np.ones((1, 1)))
+        # sum x**2 reaches 2^53 only with both traces.
+        assert _class_sums(np.array([2.0 ** 26]), classes[:1], ones)
+        assert _class_sums(np.full(2, 2.0 ** 26), classes, ones) is None
+        # B * max t**2, which also bounds sum|x| * max|t|.
+        tall = ClassTable(np.array([[1.0], [-(2.0 ** 26)]]))
+        assert _class_sums(np.full(1, 3.0), classes[:1], tall)
+        assert _class_sums(np.full(2, 3.0), classes, tall) is None
+        # Non-integer leakage or table.
+        assert _class_sums(np.array([0.5]), classes[:1], ones) is None
+        half = ClassTable(np.full((1, 1), 0.5))
+        assert not half.exact
+        assert _class_sums(np.ones(1), classes[:1], half) is None
+
+    def test_over_budget_block_falls_back_bit_identically(self):
+        x = np.array([2.0 ** 40 + 1, 3.0, 2.0 ** 40 - 7])
+        table = np.array([[1.0, 2.0], [3.0, -1.0]])
+        classes = np.array([1, 0, 1])
+        assert _class_sums(x, classes, ClassTable(table)) is None
+        assert _outcome(x, table, classes, None, routed=True) == _outcome(
+            x, table, classes, None, routed=False
+        )
+
+    def test_run_cpa_classes_matches_block(self):
+        leak, _, key = synthetic_campaign(num_traces=5000)
+        cts = random_ciphertexts(5000, seed=0)[:, 3]
+        integer = np.rint(leak * 16)
+        for x in (integer, leak):
+            got = run_cpa(
+                x, single_bit_table(), correct_key=key, classes=cts
+            )
+            expected = run_cpa(
+                x, single_bit_hypothesis(cts), correct_key=key
+            )
+            assert np.array_equal(got.checkpoints, expected.checkpoints)
+            assert np.array_equal(got.correlations, expected.correlations)
+        # Too few or too many classes; each segment alone would match.
+        with pytest.raises(ValueError):
+            run_cpa(integer, single_bit_table(), classes=cts[:10])
+        with pytest.raises(ValueError):
+            run_cpa(integer[:100], single_bit_table(), classes=cts)

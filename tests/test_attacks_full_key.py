@@ -114,41 +114,44 @@ class TestRecoverLastRoundKey:
     def test_per_segment_hypotheses_match_whole_block_cpa(
         self, campaign_data, monkeypatch
     ):
-        # Hypotheses are gathered one checkpoint segment at a time; on
-        # continuous leakage (order-sensitive float sums) every byte's
-        # CPAResult must still equal run_cpa over the whole block.
-        from repro.attacks import full_key
-        from repro.attacks.cpa import run_cpa
+        # Each byte's CPA folds a (256, 256) table per ciphertext-byte
+        # class: integer leakage takes that route, continuous leakage
+        # (order-sensitive float sums) falls back to the gathered
+        # block.  Either way every byte's CPAResult must equal run_cpa
+        # over the whole (N, 256) hypothesis block.
+        from repro.attacks import cpa
         from repro.attacks.models import single_bit_hypothesis
 
-        cipher, cts, leakage = campaign_data
-        rows = []
-        segments = full_key.run_cpa_segments
+        cipher, cts, voltages = campaign_data
+        routed = []
+        class_sums = cpa._class_sums
 
-        def counting(leakage, hypothesis_block, *args, **kwargs):
-            def block(start, stop):
-                rows.append(stop - start)
-                return hypothesis_block(start, stop)
+        def recording(x, classes, table):
+            sums = class_sums(x, classes, table)
+            routed.append(sums is not None)
+            return sums
 
-            return segments(leakage, block, *args, **kwargs)
-
-        monkeypatch.setattr(full_key, "run_cpa_segments", counting)
+        monkeypatch.setattr(cpa, "_class_sums", recording)
         checkpoints = [500, 9000, 27_000]
-        result = recover_last_round_key(
-            leakage, cts, correct_key=cipher.last_round_key,
-            checkpoints=checkpoints,
-        )
-        assert max(rows) == 27_000 - 9000
-        assert sum(rows) == 16 * 40_000
-        for index, got in enumerate(result.byte_results):
-            expected = run_cpa(
-                leakage[:, column_of_key_byte(index)],
-                single_bit_hypothesis(cts[:, index]),
+        for integer in (True, False):
+            leakage = np.rint(voltages * 1e4) if integer else voltages
+            routed.clear()
+            result = recover_last_round_key(
+                leakage, cts, correct_key=cipher.last_round_key,
                 checkpoints=checkpoints,
-                correct_key=cipher.last_round_key[index],
             )
-            assert np.array_equal(got.checkpoints, expected.checkpoints)
-            assert np.array_equal(got.correlations, expected.correlations)
+            assert routed == [integer] * (16 * 4)
+            for index, got in enumerate(result.byte_results):
+                expected = cpa.run_cpa(
+                    leakage[:, column_of_key_byte(index)],
+                    single_bit_hypothesis(cts[:, index]),
+                    checkpoints=checkpoints,
+                    correct_key=cipher.last_round_key[index],
+                )
+                assert np.array_equal(got.checkpoints, expected.checkpoints)
+                assert np.array_equal(
+                    got.correlations, expected.correlations
+                )
 
     def test_result_metrics(self, campaign_data):
         cipher, cts, leakage = campaign_data
